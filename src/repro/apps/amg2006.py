@@ -268,6 +268,19 @@ def _rank_main(cfg: Config, process: SimProcess, rank: int, n_ranks: int) -> Non
             ip_aj = relax_region.ip(L_RELAX_AJ)
             ip_ad = relax_region.ip(L_RELAX_AD)
             ip_ws = relax_region.ip(L_RELAX_WS)
+            # One row's CSR walk, in access order: the row pointer, then
+            # per nonzero S_diag_j (first two only), A_diag_j and
+            # A_diag_data, then two workspace loads and, every 12th row,
+            # a table poke (the gather drops the tail entry otherwise).
+            row_ips = (
+                ip_ai, ip_s, ip_aj, ip_ad, ip_s, ip_aj, ip_ad,
+                ip_aj, ip_ad, ip_aj, ip_ad, ip_ws, ip_ws, ip_ws,
+            )
+            row_stores = (False,) * len(row_ips)
+            n_ai = a_diag_i.size
+            n_sj = s_diag_j.size
+            n_aj = a_diag_j.size
+            n_ad = a_diag_data.size
 
             def worker(wctx: Ctx, tid: int):
                 ws = worker_ws.get(tid)
@@ -279,18 +292,19 @@ def _rank_main(cfg: Config, process: SimProcess, rank: int, n_ranks: int) -> Non
                 chunk = omp_chunk(rows, n_threads, (tid + iteration * 31) % n_threads)
                 for j, row in enumerate(chunk):
                     nnz0 = row * 12
-                    wctx.load_ip(a_diag_i.flat_addr(row % a_diag_i.size), ip_ai)
+                    vaddrs = [a_diag_i.flat_addr(row % n_ai)]
                     for jj in range(4):
-                        k = (nnz0 + jj * 3) % s_diag_j.size
+                        k = (nnz0 + jj * 3) % n_sj
                         if jj < 2:
-                            wctx.load_ip(s_diag_j.flat_addr(k), ip_s)
-                        wctx.load_ip(a_diag_j.flat_addr(k % a_diag_j.size), ip_aj)
-                        wctx.load_ip(a_diag_data.flat_addr(k % a_diag_data.size), ip_ad)
-                    wctx.load_ip(ws + (row % 256) * 64, ip_ws)
-                    wctx.load_ip(ws + ((row * 7) % 256) * 64, ip_ws)
+                            vaddrs.append(s_diag_j.flat_addr(k))
+                        vaddrs.append(a_diag_j.flat_addr(k % n_aj))
+                        vaddrs.append(a_diag_data.flat_addr(k % n_ad))
+                    vaddrs.append(ws + (row % 256) * 64)
+                    vaddrs.append(ws + ((row * 7) % 256) * 64)
                     if row % 12 == 5:
                         tbl = small_tables[row % len(small_tables)]
-                        wctx.load_ip(tbl + ((row * 11) % 60) * 64, ip_ws)
+                        vaddrs.append(tbl + ((row * 11) % 60) * 64)
+                    wctx.access_gather(vaddrs, row_ips, row_stores)
                     wctx.compute(cfg.compute_per_row)
                     if j % 4 == 3:
                         yield
@@ -303,22 +317,30 @@ def _rank_main(cfg: Config, process: SimProcess, rank: int, n_ranks: int) -> Non
             ip_si = interp_region.ip(L_INTERP_S, 1)
             ip_pj = interp_region.ip(L_INTERP_PJ)
             ip_pd = interp_region.ip(L_INTERP_PD)
+            # Rows with and without the S_diag_j strength check.
+            strong_ips = (ip_si, ip_si, ip_s2, ip_pj, ip_pd)
+            weak_ips = (ip_si, ip_si, ip_pj, ip_pd)
+            no_stores = (False,) * len(strong_ips)
 
             def worker(wctx: Ctx, tid: int):
                 chunk = omp_chunk(
                     rows // 2, n_threads, (tid + iteration * 13) % n_threads
                 )
                 for j, row in enumerate(chunk):
-                    wctx.load_ip(s_diag_i.flat_addr((row * 19) % s_diag_i.size), ip_si)
-                    wctx.load_ip(a_diag_i.flat_addr((row * 3) % a_diag_i.size), ip_si)
-                    if row % 8 == 1:
-                        wctx.load_ip(
-                            s_diag_j.flat_addr((row * 23) % s_diag_j.size), ip_s2
-                        )
-                    wctx.load_ip(p_diag_j.flat_addr((row * 11) % p_diag_j.size), ip_pj)
-                    wctx.load_ip(
-                        p_diag_data.flat_addr((row * 5) % p_diag_data.size), ip_pd
+                    head = (
+                        s_diag_i.flat_addr((row * 19) % s_diag_i.size),
+                        a_diag_i.flat_addr((row * 3) % a_diag_i.size),
                     )
+                    tail = (
+                        p_diag_j.flat_addr((row * 11) % p_diag_j.size),
+                        p_diag_data.flat_addr((row * 5) % p_diag_data.size),
+                    )
+                    if row % 8 == 1:
+                        strong = (s_diag_j.flat_addr((row * 23) % s_diag_j.size),)
+                        wctx.access_gather(head + strong + tail, strong_ips,
+                                           no_stores)
+                    else:
+                        wctx.access_gather(head + tail, weak_ips, no_stores)
                     wctx.compute(cfg.compute_per_row // 2)
                     if j % 4 == 3:
                         yield

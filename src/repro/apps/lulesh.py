@@ -290,6 +290,10 @@ def run(cfg: Config) -> AppResult:
         bases = [arrays[n] for n in stream_names]
         stores = [arrays[n] for n in store_names]
         forces = [arrays["m_fx"], arrays["m_fy"], arrays["m_fz"]]
+        # One element, in access order: six stream loads, the energy
+        # store, the force load and (every 4th element) a scratch poke.
+        elem_ips = (*ips, ip_store, ip_force, ip_scratch)
+        elem_stores = (False,) * len(ips) + (True, False, False)
 
         def worker(wctx: Ctx, tid: int):
             # Chunks rotate across iterations: at full scale each chunk far
@@ -297,20 +301,21 @@ def run(cfg: Config) -> AppResult:
             # from DRAM; the scaled-down mesh preserves that by handing
             # each thread a cold chunk per iteration (see DESIGN.md).
             # The per-element loop interleaves six stream arrays plus
-            # store/force/scratch accesses, so it stays on the scalar API
-            # (batching one array at a time would reorder the stream);
-            # mesh initialization uses the batched touch_range path.
+            # store/force/scratch accesses, so each element is one ordered
+            # gather (batching one array at a time would reorder the
+            # stream); mesh initialization uses the batched touch_range
+            # path.
             chunk = omp_chunk(
                 nelem, cfg.n_threads, (tid + iteration * 17) % cfg.n_threads
             )
             for j, e in enumerate(chunk):
-                for arr, ip in zip(bases, ips):
-                    wctx.load_ip(arr.flat_addr(e), ip)
-                wctx.store_ip(stores[e % 3].flat_addr(e), ip_store)
-                wctx.load_ip(forces[e % 3].flat_addr(e), ip_force)
+                vaddrs = [arr.flat_addr(e) for arr in bases]
+                vaddrs.append(stores[e % 3].flat_addr(e))
+                vaddrs.append(forces[e % 3].flat_addr(e))
                 if e % 4 == 3:
                     s = scratch[e % len(scratch)]
-                    wctx.load_ip(s + ((e * 37 + iteration) % 60) * 64, ip_scratch)
+                    vaddrs.append(s + ((e * 37 + iteration) % 60) * 64)
+                wctx.access_gather(vaddrs, elem_ips, elem_stores)
                 wctx.compute(cfg.compute_per_elem)
                 if j % 8 == 7:
                     yield
@@ -324,6 +329,13 @@ def run(cfg: Config) -> AppResult:
         ip_gamma = stress_region.ip(L_F_ELEM_STORE, 3)
         stream_bases = [arrays[n] for n in ("m_fx", "m_fy", "m_fz", "m_p", "m_q", "m_e")]
         stream_ips = [stress_region.ip(L_STRESS_STREAM, slot) for slot in range(6)]
+        stream_stores = (False,) * len(stream_ips)
+        # The corner block: the corner-list load, three f_elem stores and
+        # (when the element also reads it) the Gamma load.
+        corner_ips = (ip_corner, *ip_f, ip_gamma)
+        corner_stores = (False, True, True, True, False)
+        gamma_ips = (ip_gamma,)
+        gamma_stores = (False,)
 
         def worker(wctx: Ctx, tid: int):
             chunk = omp_chunk(
@@ -331,11 +343,17 @@ def run(cfg: Config) -> AppResult:
             )
             for j, e in enumerate(chunk):
                 # Stress integration also streams the coordinate arrays.
-                for arr, ip in zip(stream_bases, stream_ips):
-                    wctx.load_ip(arr.flat_addr(e), ip)
+                wctx.access_gather(
+                    [arr.flat_addr(e) for arr in stream_bases], stream_ips,
+                    stream_stores,
+                )
                 wctx.compute(cfg.compute_per_elem // 4)
+                tail = (
+                    (gamma.addr_unchecked(e % 4, (e // 4) % 8, e % 8, 0),)
+                    if e % 4 == 1 else ()
+                )
                 if e % cfg.corner_every == 0:
-                    wctx.load_ip(corner_list.flat_addr(e * 2), ip_corner)
+                    vaddrs = [corner_list.flat_addr(e * 2)]
                     corner = (e * 131 + iteration * 8191) % nnode
                     # ``Find_Pos`` yields a different position per
                     # component, so even the transposed layout keeps some
@@ -344,14 +362,13 @@ def run(cfg: Config) -> AppResult:
                     for k in range(3):
                         pos = (e * 7 + k * 3) % 8
                         if transposed:
-                            addr = f_elem.addr_unchecked(corner, pos, k)
+                            vaddrs.append(f_elem.addr_unchecked(corner, pos, k))
                         else:
-                            addr = f_elem.addr_unchecked(corner, k, pos)
-                        wctx.store_ip(addr, ip_f[k])
-                if e % 4 == 1:
-                    wctx.load_ip(
-                        gamma.addr_unchecked(e % 4, (e // 4) % 8, e % 8, 0), ip_gamma
-                    )
+                            vaddrs.append(f_elem.addr_unchecked(corner, k, pos))
+                    vaddrs.extend(tail)
+                    wctx.access_gather(vaddrs, corner_ips, corner_stores)
+                elif tail:
+                    wctx.access_gather(tail, gamma_ips, gamma_stores)
                 wctx.compute(cfg.compute_per_elem // 4)
                 if j % 8 == 7:
                     yield

@@ -146,25 +146,38 @@ def _rank_main(cfg: Config, process: SimProcess, rank: int, n_ranks: int) -> Non
         ip_src2 = sweep_fn.ip(L_SRC_LOAD2)
         ip_flux_load = sweep_fn.ip(L_FLUX_LOAD)
         ip_flux_store = sweep_fn.ip(L_FLUX_STORE)
+        face_ips = (ip_face, ip_face, ip_phi)
+        face_stores = (False, False, False)
+        # Per cell: Src (twice on the octant's parity), Flux load, store.
+        dup_ips = (ip_src1, ip_src2, ip_flux_load, ip_flux_store)
+        dup_stores = (False, False, False, True)
+        cell_ips = (ip_src1, ip_flux_load, ip_flux_store)
+        cell_stores = (False, False, True)
         for i in range(it):
             # Receive the incoming wavefront face for this pencil.
             ctx.comm(jt * 8)
             for j in range(jt):
-                ctx.load_ip(face_addr(i, j, (octant * 3 + j) % 16), ip_face)
-                ctx.load_ip(face_addr(i, j, (octant * 5 + j + 7) % 16), ip_face)
-                ctx.load_ip(phi_stack + ((i * 29 + j * 13 + octant) % 64) * 64, ip_phi)
+                ctx.access_gather(
+                    (
+                        face_addr(i, j, (octant * 3 + j) % 16),
+                        face_addr(i, j, (octant * 5 + j + 7) % 16),
+                        phi_stack + ((i * 29 + j * 13 + octant) % 64) * 64,
+                    ),
+                    face_ips, face_stores,
+                )
                 for k in range(kt):
                     # The two innermost loops fix the leftmost dimensions:
                     # stride it*jt elements (original) vs. unit (fixed).
-                    # Kept scalar: src loads (data-dependent duplication),
-                    # flux load and flux store interleave per k, so no
-                    # single-array run reproduces this access order; the
-                    # batched path covers initialization (touch_range).
-                    ctx.load_ip(cell(src_a, i, j, k), ip_src1)
+                    # Src loads (data-dependent duplication), the Flux
+                    # load and the Flux store interleave per k, so each
+                    # cell is one ordered gather; the batched run path
+                    # covers initialization (touch_range).
+                    src = cell(src_a, i, j, k)
+                    flux = cell(flux_a, i, j, k)
                     if k % 2 == octant % 2:
-                        ctx.load_ip(cell(src_a, i, j, k), ip_src2)
-                    ctx.load_ip(cell(flux_a, i, j, k), ip_flux_load)
-                    ctx.store_ip(cell(flux_a, i, j, k), ip_flux_store)
+                        ctx.access_gather((src, src, flux, flux), dup_ips, dup_stores)
+                    else:
+                        ctx.access_gather((src, flux, flux), cell_ips, cell_stores)
                     ctx.compute(cfg.compute_per_cell)
                 yield
             # Send the outgoing face downstream.

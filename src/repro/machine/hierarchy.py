@@ -15,6 +15,11 @@ streams), but hoists TLB lookups to once per page, short-circuits
 repeated same-line L1 hits, and accumulates counters in locals flushed
 once per run.
 
+``MemoryHierarchy.access_gather`` is the ordered gather: a short mixed
+sequence of loads and stores at arbitrary addresses (indirect walks,
+per-iteration groups over several arrays) in one call, held to the same
+bit-identity contract against ``access``.
+
 A per-core stream prefetcher hides DRAM *latency* (not controller
 traffic) for unit-stride misses: sequential streams are served at near-L3
 latency while strided/indirect patterns pay full memory latency.  This is
@@ -35,6 +40,7 @@ lists, and the caches use list-based LRU.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from repro.errors import ConfigError
@@ -308,6 +314,213 @@ class MemoryHierarchy:
         return self._access_run_python(
             hw_tid, base_vaddr, stride, count, home_node, is_store, record
         )
+
+    def access_gather(
+        self,
+        hw_tid: int,
+        vaddrs: Sequence[int],
+        homes: Sequence[int],
+        stores: Sequence[bool],
+        record: list | None = None,
+    ) -> int:
+        """Ordered gather: one call for a short mixed load/store sequence.
+
+        Equivalent — same final machine state, same per-access results —
+        to ``access(hw_tid, vaddrs[k], homes[k], stores[k])`` for each
+        ``k`` in order.  This is the entry point for indirect walks and
+        for loops that interleave several arrays per iteration, where no
+        single strided run reproduces the access order.  The per-core
+        caches, TLB, latencies and prefetch streams are hoisted into
+        locals once per call, the LRU tag lists are probed and updated in
+        place, and the level, hop, hit/miss, load/store and prefetch
+        counters are flushed once at the end.  DRAM accesses pay the
+        contention model's in-window delay and are registered with it in
+        bulk per home node.
+
+        ``homes[k]`` is the NUMA home of ``vaddrs[k]``'s page, as for
+        :meth:`access`; ``stores`` may carry entries past ``len(vaddrs)``,
+        which are ignored (kernels pass one tuple for gathers with an
+        optional tail).  Returns the total latency in cycles; when
+        ``record`` is a list, one ``(latency, level, tlb_miss)`` tuple is
+        appended per access in order (PMU replay).  Equivalence with the
+        scalar oracle is enforced by ``tests/test_machine_bulk_access.py``.
+        """
+        lat = self.latency
+        core = self._core_of[hw_tid]
+        l1 = self.l1[core]
+        l2 = self.l2[core]
+        l3 = self.l3[self._socket_of[hw_tid]]
+        tlb = self.tlb[core]._cache
+        l1_sets, l1_mask, l1_assoc = l1._sets, l1._set_mask, l1.assoc
+        l2_sets, l2_mask, l2_assoc = l2._sets, l2._set_mask, l2.assoc
+        l3_sets, l3_mask, l3_assoc = l3._sets, l3._set_mask, l3.assoc
+        tlb_sets, tlb_mask, tlb_assoc = tlb._sets, tlb._set_mask, tlb.assoc
+        line_bits = self.line_bits
+        page_bits = self.page_bits
+        lat_l1 = lat.l1
+        lat_l2 = lat.l2
+        lat_l3 = lat.l3
+        tlb_walk = lat.tlb_walk
+        store_extra = lat.store_extra
+        my_node = self._numa_of[hw_tid]
+        hops_of = self.topology.hops
+        dram_of = lat.dram
+        contention = self.contention
+        delay_of = contention.congestion_delay
+        # Home node -> [hops, DRAM latency, queueing delay, accesses].
+        # The contention delay is flat within a window and windows only
+        # rotate between scheduler quanta, so every DRAM access of this
+        # call to one home pays the same delay; the model is charged in
+        # bulk per home at the end, as the vector engine does.
+        per_node: dict[int, list[int]] = {}
+        prefetch_on = self.prefetch_enabled
+        streams = self._streams[core]
+        rr = self._stream_rr[core]
+        rec = record.append if record is not None else None
+
+        total = 0
+        n_stores = 0
+        n2 = n3 = nl = nr = 0  # accesses served by L2/L3/LMEM/RMEM
+        tlb_misses = 0
+        pf_hits = 0
+        # The last page/line touched: after any access both are MRU in
+        # the TLB and L1 (a hit promotes, a miss installs at the front),
+        # so an immediate repeat is a guaranteed hit with no state change.
+        last_page: int | None = None
+        last_line: int | None = None
+        for vaddr, home, is_store in zip(vaddrs, homes, stores):
+            if is_store:
+                n_stores += 1
+            page = vaddr >> page_bits
+            if page == last_page:
+                cycles = 0
+                tlb_miss = False
+            else:
+                last_page = page
+                ways = tlb_sets[page & tlb_mask]
+                if page in ways:
+                    if ways[0] != page:
+                        ways.remove(page)
+                        ways.insert(0, page)
+                    cycles = 0
+                    tlb_miss = False
+                else:
+                    tlb_misses += 1
+                    ways.insert(0, page)
+                    if len(ways) > tlb_assoc:
+                        ways.pop()
+                    cycles = tlb_walk
+                    tlb_miss = True
+
+            line = vaddr >> line_bits
+            if line == last_line:
+                cycles += lat_l1
+                level = LVL_L1
+            else:
+                last_line = line
+                ways1 = l1_sets[line & l1_mask]
+                if line in ways1:
+                    if ways1[0] != line:
+                        ways1.remove(line)
+                        ways1.insert(0, line)
+                    cycles += lat_l1
+                    level = LVL_L1
+                else:
+                    # L1 miss: stream prefetcher, write-allocate, deeper
+                    # levels — the same order as the scalar path.
+                    prefetched = False
+                    if prefetch_on:
+                        if line in streams:
+                            # The first matching stream advances, as in
+                            # the scalar path's scan.
+                            prefetched = True
+                            streams[streams.index(line)] = line + 1
+                        else:
+                            streams[rr] = line + 1
+                            rr = (rr + 1) % _STREAMS_PER_CORE
+                    if is_store:
+                        cycles += store_extra
+                    ways2 = l2_sets[line & l2_mask]
+                    if line in ways2:
+                        if ways2[0] != line:
+                            ways2.remove(line)
+                            ways2.insert(0, line)
+                        n2 += 1
+                        cycles += lat_l2
+                        level = LVL_L2
+                    else:
+                        ways3 = l3_sets[line & l3_mask]
+                        if line in ways3:
+                            if ways3[0] != line:
+                                ways3.remove(line)
+                                ways3.insert(0, line)
+                            n3 += 1
+                            cycles += lat_l3
+                            level = LVL_L3
+                        else:
+                            dram = per_node.get(home)
+                            if dram is None:
+                                hops = hops_of(my_node, home)
+                                dram = per_node[home] = [
+                                    hops, dram_of(hops), delay_of(home), 0,
+                                ]
+                            dram[3] += 1
+                            if prefetched:
+                                pf_hits += 1
+                                cycles += lat_l3 + dram[2]
+                            else:
+                                cycles += dram[1] + dram[2]
+                            if home != my_node:
+                                nr += 1
+                                level = LVL_RMEM
+                            else:
+                                nl += 1
+                                level = LVL_LMEM
+                            ways3.insert(0, line)
+                            if len(ways3) > l3_assoc:
+                                ways3.pop()
+                        ways2.insert(0, line)
+                        if len(ways2) > l2_assoc:
+                            ways2.pop()
+                    ways1.insert(0, line)
+                    if len(ways1) > l1_assoc:
+                        ways1.pop()
+            total += cycles
+            if rec is not None:
+                rec((cycles, level, tlb_miss))
+
+        # Flush the locally-accumulated counters in one pass.  L1 and
+        # TLB hits are whatever did not miss; every L1 miss probed L2,
+        # and every L2 miss probed L3.
+        n = len(vaddrs)
+        n1 = n - n2 - n3 - nl - nr
+        self._stream_rr[core] = rr
+        self.store_count += n_stores
+        self.load_count += n - n_stores
+        lc = self.level_counts
+        lc[LVL_L1] += n1
+        lc[LVL_L2] += n2
+        lc[LVL_L3] += n3
+        lc[LVL_LMEM] += nl
+        lc[LVL_RMEM] += nr
+        l1_misses = n - n1
+        l2_misses = l1_misses - n2
+        l1.hits += n1
+        l1.misses += l1_misses
+        l2.hits += n2
+        l2.misses += l2_misses
+        l3.hits += n3
+        l3.misses += l2_misses - n3
+        tlb.hits += n - tlb_misses
+        tlb.misses += tlb_misses
+        self.prefetch_hits += pf_hits
+        if per_node:
+            hop_counts = self.hop_counts
+            for home, (hops, _, _, count) in per_node.items():
+                contention.dram_access_bulk(home, hw_tid, count)
+                self.memmgr.note_dram_accesses(home, home != my_node, count)
+                hop_counts[hops] += count
+        return total
 
     def _access_run_python(
         self,

@@ -77,6 +77,24 @@ class IBSEngine:
         for hook in process.hooks:
             hook.on_sample(process, thread, sample)
 
+    def note_mem_seq(
+        self, process: "SimProcess", thread: "SimThread", record: list
+    ) -> bool:
+        """Bulk :meth:`note_mem` over a gather's ``(latency, level,
+        tlb_miss)`` results, taken only when no access in it can be sampled.
+
+        Returns False, with nothing but the arming done, when the
+        countdown would expire inside the gather: the caller then replays
+        :meth:`note_mem` per access (arming is idempotent, so the replay
+        sees the same countdown the scalar path would).
+        """
+        countdown = self._armed_countdown(thread)
+        n = len(record)
+        if countdown <= n:
+            return False
+        thread.pmu_countdown = countdown - n
+        return True
+
     def note_compute(self, process: "SimProcess", thread: "SimThread", n: int) -> None:
         # A block of n instructions may straddle several sampling periods;
         # fire one sample per period crossed and carry the remainder, so a

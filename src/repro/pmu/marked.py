@@ -81,6 +81,32 @@ class MarkedEventEngine:
         for hook in process.hooks:
             hook.on_sample(process, thread, sample)
 
+    def note_mem_seq(
+        self, process: "SimProcess", thread: "SimThread", record: list
+    ) -> bool:
+        """Bulk :meth:`note_mem` over a gather's ``(latency, level,
+        tlb_miss)`` results: only accesses matching the event predicate
+        advance the counter, so the gather is handled in bulk when its
+        matches cannot reach the threshold.
+
+        Returns False, with nothing but the arming done, otherwise: the
+        caller then replays :meth:`note_mem` per access.
+        """
+        predicate = self._predicate
+        matches = 0
+        for latency, level, tlb_miss in record:
+            if predicate(level, latency, tlb_miss):
+                matches += 1
+        if not matches:
+            return True
+        if thread.pmu_countdown <= 0:
+            self._reset_countdown(thread)
+        if thread.pmu_countdown <= matches:
+            return False
+        thread.pmu_countdown -= matches
+        self.events_counted += matches
+        return True
+
     def note_compute(self, process: "SimProcess", thread: "SimThread", n: int) -> None:
         # Marked data-source events never fire on non-memory instructions.
         return

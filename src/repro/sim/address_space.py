@@ -102,6 +102,29 @@ class AddressSpace:
         self.memmgr.note_page_placed(node)
         return node
 
+    def homes_of(self, vaddrs, toucher_node: int) -> list[int]:
+        """:meth:`home_of` for each address, consulted in order.
+
+        When every page is already placed this is one page-table lookup
+        per address; otherwise each address goes through the ``get``
+        fast path and only a first touch takes the full :meth:`home_of`
+        (which commits the placement).
+        """
+        page_bits = self.page_bits
+        page_home = self._page_home
+        try:
+            return [page_home[vaddr >> page_bits] for vaddr in vaddrs]
+        except KeyError:
+            pass  # a first touch: place pages one by one, in order
+        get = page_home.get
+        homes = []
+        for vaddr in vaddrs:
+            home = get(vaddr >> page_bits, -1)
+            if home < 0:
+                home = self.home_of(vaddr, toucher_node)
+            homes.append(home)
+        return homes
+
     def page_home_if_touched(self, vaddr: int) -> int | None:
         """Non-committing lookup (for tests/inspection)."""
         return self._page_home.get(vaddr >> self.page_bits)

@@ -14,7 +14,7 @@ few list operations (caches) and an integer add (clock) per access.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Generator, Iterable
+from typing import TYPE_CHECKING, Callable, Generator, Iterable, Sequence
 
 from repro.errors import AllocationError, SimulationError
 from repro.sim.arrays import SimArray
@@ -245,6 +245,57 @@ class Ctx:
                 thread.mem_count += 1
                 note_mem(process, thread, ip, vaddr, lat, lvl, tlbm, is_store)
                 vaddr += stride
+        return total
+
+    def access_gather(
+        self, vaddrs: Sequence[int], ips: Sequence[int], stores: Sequence[bool]
+    ) -> int:
+        """An ordered mix of loads and stores, each at its own IP.
+
+        Equivalent to calling :meth:`store_ip` (``stores[k]`` true) or
+        :meth:`load_ip` on ``(vaddrs[k], ips[k])`` for each ``k`` in
+        order — same machine state, clock, counters and PMU sample
+        stream (enforced by ``tests/test_machine_bulk_access.py``) — in
+        one trip through the memory hierarchy.  Kernels use it for
+        indirect walks and for per-iteration groups that touch several
+        arrays, which no single strided run reproduces.  ``ips`` and
+        ``stores`` may carry entries past ``len(vaddrs)``, which are
+        ignored, so one tuple serves gathers with an optional tail.
+        Returns the total latency in cycles.
+        """
+        thread = self.thread
+        if self._san is not None or self._sampler is not None:
+            # Sanitizer and sampler sessions observe every access one by
+            # one: take the scalar calls.
+            total = 0
+            for vaddr, ip, is_store in zip(vaddrs, ips, stores):
+                if is_store:
+                    total += self.store_ip(vaddr, ip)
+                else:
+                    total += self.load_ip(vaddr, ip)
+            return total
+        homes = self._aspace.homes_of(vaddrs, thread.numa_node)
+        process = self.process
+        pmu = process.pmu
+        record: list | None = [] if pmu is not None else None
+        total = self._hier.access_gather(thread.hw_tid, vaddrs, homes, stores, record)
+        if record is not None:
+            note_seq = getattr(pmu, "note_mem_seq", None)
+            if note_seq is None or not note_seq(process, thread, record):
+                # Replay per access, in order (sample pacing is stateful).
+                note_mem = pmu.note_mem
+                for vaddr, ip, is_store, (lat, lvl, tlbm) in zip(
+                    vaddrs, ips, stores, record
+                ):
+                    thread.clock += lat
+                    thread.inst_count += 1
+                    thread.mem_count += 1
+                    note_mem(process, thread, ip, vaddr, lat, lvl, tlbm, is_store)
+                return total
+        n = len(vaddrs)
+        thread.clock += total
+        thread.inst_count += n
+        thread.mem_count += n
         return total
 
     def load_stride(self, base: int, count: int, stride: int, ip: int) -> None:

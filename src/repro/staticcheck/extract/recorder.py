@@ -351,6 +351,13 @@ class ExtractionCtx:
             count=int(rep_of(count)), stride=int(rep_of(stride)),
         )
 
+    def access_gather(self, vaddrs: Any, ips: Any, stores: Any) -> None:
+        # One access site per element, at that element's IP — exactly
+        # what the equivalent load_ip/store_ip sequence records.
+        record = self._rec.record_access
+        for vaddr, ip, is_store in zip(vaddrs, ips, stores):
+            record(ip, vaddr, is_store=bool(rep_of(is_store)))
+
     # Older stride-spelling aliases kept for API parity with Ctx.
     load_stride = load_run
     store_stride = store_run

@@ -17,10 +17,13 @@ from hypothesis import strategies as st
 
 from repro import Ctx, DataCentricProfiler, SimProcess, tiny_machine
 from repro.util.rng import DeterministicRNG
-from repro.machine.hierarchy import MemoryHierarchy
+from repro.machine.hierarchy import LVL_RMEM, MemoryHierarchy
 from repro.machine.policies import Interleave
 from repro.pmu.ebs import EBSEngine
+from repro.pmu.events import PM_MRK_DATA_FROM_RMEM, PM_MRK_DTLB_MISS
 from repro.pmu.ibs import IBSEngine
+from repro.pmu.marked import MarkedEventEngine
+from repro.pmu.pebs import PEBSEngine
 from tests.conftest import MiniProgram
 
 # ---------------------------------------------------------------------------
@@ -536,3 +539,364 @@ class TestMachineStatsParity:
         # Everything happened inside a phase, so the attributed deltas
         # must reconstruct the whole-run snapshot exactly.
         assert summed == total
+
+
+# ---------------------------------------------------------------------------
+# Ordered gather: MemoryHierarchy.access_gather / Ctx.access_gather vs the
+# scalar oracle, on mixed load/store sequences with one IP per access.
+
+
+def _gather_machine(prefetch: bool = True):
+    # Four NUMA nodes over two sockets (0-, 1- and cross-socket hops) and
+    # a non-zero write-allocate penalty, on the tiny cache geometry.
+    from dataclasses import replace
+
+    from repro.machine.latency import LatencyModel
+    from repro.machine.presets import Machine, tiny_spec
+
+    spec = tiny_spec(numa_per_socket=2, prefetch=prefetch, engine="python")
+    return Machine(replace(spec, latency=LatencyModel(store_extra=9)))
+
+
+def full_state(h: MemoryHierarchy) -> dict:
+    """:func:`hierarchy_state` plus every tag list and contention detail."""
+    state = hierarchy_state(h)
+    state["sets"] = {
+        "l1": [list(map(list, c._sets)) for c in h.l1],
+        "l2": [list(map(list, c._sets)) for c in h.l2],
+        "l3": [list(map(list, c._sets)) for c in h.l3],
+        "tlb": [list(map(list, t._cache._sets)) for t in h.tlb],
+    }
+    cont = h.contention
+    state["contention"] = (
+        list(cont._counts), sorted(cont._tids), list(cont._penalty),
+        cont.windows, cont.total_queue_cycles,
+    )
+    state["pages_on_node"] = list(h.memmgr.pages_on_node)
+    state["hop_counts"] = list(h.hop_counts)
+    return state
+
+
+def _random_gathers(seed: int, n_gathers: int, n_threads: int, n_nodes: int):
+    """Gathers mixing same-line repeats, page crossings, a small hot set
+    (LRU promotions) and scattered lines (evictions, DRAM)."""
+    rng = DeterministicRNG(seed)
+    hot = [rng.randint(0, 1 << 16) * 8 for _ in range(12)]
+    gathers = []
+    for _ in range(n_gathers):
+        hw_tid = rng.randint(0, n_threads - 1)
+        size = rng.randint(1, 14)
+        vaddrs, homes, stores = [], [], []
+        for _ in range(size):
+            r = rng.random()
+            if r < 0.25 and vaddrs:
+                vaddr = vaddrs[-1] + rng.randint(0, 7) * 8   # same/next line
+            elif r < 0.45 and vaddrs:
+                vaddr = ((vaddrs[-1] >> 12) + 1 << 12) - 8 + rng.randint(0, 3) * 8
+            elif r < 0.7:
+                vaddr = hot[rng.randint(0, len(hot) - 1)]
+            else:
+                vaddr = rng.randint(0, 1 << 22)
+            vaddrs.append(vaddr)
+            homes.append(rng.randint(0, n_nodes - 1))
+            stores.append(rng.random() < 0.35)
+        gathers.append((hw_tid, vaddrs, homes, stores))
+    return gathers
+
+
+class TestGatherHierarchy:
+    @pytest.mark.parametrize("prefetch", [True, False])
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4])
+    def test_random_gathers_bit_identical(self, seed, prefetch):
+        a = _gather_machine(prefetch).hierarchy
+        b = _gather_machine(prefetch).hierarchy
+        n_nodes = a.topology.n_numa_nodes
+        stream_a: list = []
+        stream_b: list = []
+        totals = []
+        for i, (hw_tid, vaddrs, homes, stores) in enumerate(
+            _random_gathers(seed, 300, a.topology.n_threads, n_nodes)
+        ):
+            total = 0
+            for vaddr, home, st in zip(vaddrs, homes, stores):
+                result = a.access(hw_tid, vaddr, home, st)
+                stream_a.append(result)
+                total += result[0]
+            totals.append(total)
+            assert b.access_gather(hw_tid, vaddrs, homes, stores, stream_b) == total
+            if i % 37 == 36:
+                # Loaded contention windows charge queueing delays.
+                a.new_window()
+                b.new_window()
+        assert stream_a == stream_b
+        assert full_state(a) == full_state(b)
+        # Remote DRAM at every hop distance and stores were exercised.
+        assert a.level_counts[LVL_RMEM] and a.hop_counts[1] and a.hop_counts[2]
+        assert a.store_count
+        assert a.prefetch_hits or not prefetch
+        # Without a record the totals are the same.
+        c = _gather_machine(prefetch).hierarchy
+        got = []
+        for i, (hw_tid, vaddrs, homes, stores) in enumerate(
+            _random_gathers(seed, 300, c.topology.n_threads, n_nodes)
+        ):
+            got.append(c.access_gather(hw_tid, vaddrs, homes, stores))
+            if i % 37 == 36:
+                c.new_window()
+        assert got == totals
+        assert full_state(c) == full_state(a)
+
+    def test_same_line_and_page_repeats(self):
+        a = _gather_machine().hierarchy
+        b = _gather_machine().hierarchy
+        vaddrs = [0x1000, 0x1000, 0x1008, 0x1040, 0x1000, 0x1FF8, 0x2000, 0x1FF8]
+        stores = [False, True, True, False, True, False, True, False]
+        homes = [0, 0, 0, 0, 0, 0, 3, 0]
+        expected = [a.access(0, v, h, s) for v, h, s in zip(vaddrs, homes, stores)]
+        got: list = []
+        b.access_gather(0, vaddrs, homes, stores, got)
+        assert got == expected
+        assert full_state(a) == full_state(b)
+
+    def test_empty_gather_is_noop(self):
+        h = _gather_machine().hierarchy
+        before = full_state(h)
+        assert h.access_gather(0, [], [], []) == 0
+        assert full_state(h) == before
+
+    def test_interleaved_with_runs_and_scalar_calls(self):
+        a = _gather_machine().hierarchy
+        b = _gather_machine().hierarchy
+        stream_a: list = []
+        stream_b: list = []
+        for i, (hw_tid, vaddrs, homes, stores) in enumerate(
+            _random_gathers(9, 120, a.topology.n_threads, a.topology.n_numa_nodes)
+        ):
+            for vaddr, home, st in zip(vaddrs, homes, stores):
+                stream_a.append(a.access(hw_tid, vaddr, home, st))
+            b.access_gather(hw_tid, vaddrs, homes, stores, stream_b)
+            run = (hw_tid, vaddrs[0], 64, 20, homes[0], i % 3 == 0)
+            stream_a.extend(scalar_replay(a, [run]))
+            b.access_run(*run, record=stream_b)
+        assert stream_a == stream_b
+        assert full_state(a) == full_state(b)
+
+
+def _gather_script(seed: int):
+    """A Ctx op script: allocations, then gathers of loads and stores at
+    distinct IPs over heap and static arrays, with compute between them.
+    The arrays are allocated but not touched, so pages are first touched
+    inside gathers, interleaved with already placed pages."""
+
+    def script(ctx: Ctx, gather: bool) -> list:
+        rng = DeterministicRNG(seed)
+        a = ctx.alloc_array("A", (4096,), line=20)
+        b = ctx.alloc_array("B", (2048,), line=20)
+        g = ctx.static_array(ctx.process.modules[0].statics[0], (8192,))
+        ips = [ctx.ip(10, slot) for slot in range(4)] + [ctx.ip(30)]
+        totals = []
+        for _ in range(160):
+            vaddrs, gips, stores = [], [], []
+            for _ in range(rng.randint(1, 12)):
+                arr = (a, b, g)[rng.randint(0, 2)]
+                k = rng.randint(0, arr.size - 1)
+                if vaddrs and rng.random() < 0.3:
+                    vaddrs.append(vaddrs[-1])   # repeat the same element
+                else:
+                    vaddrs.append(arr.flat_addr(k))
+                gips.append(ips[rng.randint(0, len(ips) - 1)])
+                stores.append(rng.random() < 0.4)
+            if gather:
+                totals.append(ctx.access_gather(vaddrs, gips, stores))
+            else:
+                total = 0
+                for vaddr, ip, st in zip(vaddrs, gips, stores):
+                    total += ctx.store_ip(vaddr, ip) if st else ctx.load_ip(vaddr, ip)
+                totals.append(total)
+            ctx.compute(rng.randint(0, 9))
+        return totals
+
+    return script
+
+
+GATHER_PMUS = {
+    "none": None,
+    "ibs": lambda: IBSEngine(period=16, seed=11),
+    "ibs_long": lambda: IBSEngine(period=400, seed=13),
+    "ebs": lambda: EBSEngine(period=16, skid=4, seed=12),
+    "pebs": lambda: PEBSEngine(period=8, latency_threshold=20, seed=3,
+                               sample_stores=True),
+    "marked_rmem": lambda: MarkedEventEngine(PM_MRK_DATA_FROM_RMEM, period=4, seed=5),
+    "marked_rmem_long": lambda: MarkedEventEngine(
+        PM_MRK_DATA_FROM_RMEM, period=200, seed=6),
+    "marked_tlb": lambda: MarkedEventEngine(PM_MRK_DTLB_MISS, period=3, seed=7),
+}
+
+
+def _gather_twin(pmu_factory, interleave: bool):
+    prog = MiniProgram(machine=_gather_machine())
+    if interleave:
+        nodes = list(range(prog.machine.n_numa_nodes))
+        prog.process.aspace.set_default_policy(Interleave(nodes))
+    profiler = DataCentricProfiler(prog.process).attach()
+    rec = _SampleRecorder()
+    prog.process.hooks.append(rec)
+    if pmu_factory is not None:
+        prog.process.pmu = pmu_factory()
+    return prog, profiler, rec
+
+
+def _engine_state(pmu) -> tuple:
+    if pmu is None:
+        return ()
+    return (
+        pmu.samples_taken,
+        getattr(pmu, "events_counted", None),
+        getattr(pmu, "mem_samples", None),
+        pmu.rng.random(),   # the RNG advanced identically
+    )
+
+
+class TestGatherCtx:
+    @pytest.mark.parametrize("interleave", [False, True])
+    @pytest.mark.parametrize("pmu", sorted(GATHER_PMUS))
+    @pytest.mark.parametrize("seed", [21, 22])
+    def test_gather_matches_scalar_calls(self, pmu, interleave, seed):
+        script = _gather_script(seed)
+        runs = []
+        for gather in (False, True):
+            prog, profiler, rec = _gather_twin(GATHER_PMUS[pmu], interleave)
+            ctx = prog.master_ctx()
+            totals = script(ctx, gather)
+            h = prog.machine.hierarchy
+            runs.append((
+                totals,
+                rec.samples,
+                _thread_state(prog),
+                full_state(h),
+                prog.process.aspace.pages_by_node(prog.machine.n_numa_nodes),
+                _engine_state(prog.process.pmu),
+                (profiler.stats.samples, profiler.stats.heap_samples,
+                 profiler.stats.static_samples, profiler.stats.unknown_samples),
+            ))
+        assert runs[0] == runs[1]
+        if interleave:
+            assert runs[0][3]["level_counts"][LVL_RMEM] > 0   # remote DRAM reached
+        if pmu != "none" and (interleave or not pmu.startswith("marked_rmem")):
+            # (Under first touch the master's pages are all local: no
+            # remote-memory event to count.)
+            assert runs[0][1], "the engine delivered no samples"
+
+    def test_worker_threads_gather_remote(self):
+        # Workers on other NUMA nodes gather from pages the master placed
+        # by first touch: remote DRAM from every hop distance.
+        def body(prog, gather: bool):
+            process = prog.process
+            master = prog.master_ctx()
+            arr = master.alloc_array("A", (8192,), line=20)
+            master.touch_range(arr.base, arr.nbytes, line=20)
+            ip_l = master.ip(10)
+            ip_s = master.ip(10, 1)
+            threads = [process.master]
+            for t in range(1, process.machine.n_threads):
+                thread = process.omp_thread(t)
+                threads.append(thread)
+                ctx = Ctx(process, thread)
+                ctx.enter(prog.work)
+                for row in range(40):
+                    vaddrs = [arr.flat_addr((row * 97 + k * 515) % arr.size)
+                              for k in range(6)]
+                    stores = [k % 3 == 2 for k in range(6)]
+                    ips = [ip_s if st else ip_l for st in stores]
+                    if gather:
+                        ctx.access_gather(vaddrs, ips, stores)
+                    else:
+                        for vaddr, ip, st in zip(vaddrs, ips, stores):
+                            (ctx.store_ip if st else ctx.load_ip)(vaddr, ip)
+                    ctx.compute(5)
+                ctx.leave()
+            return [
+                (th.clock, th.inst_count, th.mem_count, th.pmu_countdown)
+                for th in threads
+            ]
+
+        results = []
+        for gather in (False, True):
+            prog, _, rec = _gather_twin(GATHER_PMUS["ibs"], False)
+            threads = body(prog, gather)
+            results.append((threads, rec.samples, full_state(prog.machine.hierarchy)))
+        assert results[0] == results[1]
+        assert results[0][2]["hop_counts"][1] and results[0][2]["hop_counts"][2]
+
+
+class TestGatherSessions:
+    """Sanitizer and sampler sessions take the scalar fallback."""
+
+    @staticmethod
+    def _forbid_hierarchy_gather(monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("session gathers must take the scalar calls")
+
+        monkeypatch.setattr(MemoryHierarchy, "access_gather", forbidden)
+
+    def test_sanitizer_session_findings_identical(self, monkeypatch):
+        from repro.sanitize import sanitizing
+
+        def run(gather: bool):
+            with sanitizing() as session:
+                prog = MiniProgram(machine=_gather_machine())
+                prog.process.pmu = IBSEngine(period=16, seed=11)
+                ctx = prog.master_ctx()
+                buf = ctx.malloc(256, line=20, var="buf")
+                ip = ctx.ip(10)
+                # In bounds, then past the end (a load and a store), then
+                # a use after free.
+                vaddrs = [buf, buf + 248, buf + 256, buf + 300]
+                stores = [True, False, False, True]
+                if gather:
+                    ctx.access_gather(vaddrs, [ip] * len(vaddrs), stores)
+                else:
+                    for vaddr, st in zip(vaddrs, stores):
+                        (ctx.store_ip if st else ctx.load_ip)(vaddr, ip)
+                ctx.free(buf, line=20)
+                if gather:
+                    ctx.access_gather([buf + 8], [ip], [False])
+                else:
+                    ctx.load_ip(buf + 8, ip)
+                report = session.report()
+            return (
+                [(f.kind, f.variable.name, f.address, f.count)
+                 for f in report.findings],
+                report.stats,
+                _thread_state(prog),
+                full_state(prog.machine.hierarchy),
+            )
+
+        scalar = run(False)
+        self._forbid_hierarchy_gather(monkeypatch)
+        gathered = run(True)
+        assert scalar == gathered
+        kinds = {kind for kind, *_ in scalar[0]}
+        assert {"oob-read", "oob-write", "use-after-free"} <= kinds, kinds
+
+    def test_sampler_session_statistics_identical(self, monkeypatch):
+        from repro.sim.sampling import sampling
+
+        def run(gather: bool):
+            with sampling(rate=0.5, min_run=4, seed=3):
+                prog = MiniProgram(machine=_gather_machine())
+            sampler = prog.process.sampler
+            assert sampler is not None
+            prog.process.pmu = IBSEngine(period=16, seed=11)
+            rec = _SampleRecorder()
+            prog.process.hooks.append(rec)
+            totals = _gather_script(31)(prog.master_ctx(), gather)
+            return (
+                totals, rec.samples, _thread_state(prog),
+                full_state(prog.machine.hierarchy), sampler.to_meta(),
+            )
+
+        scalar = run(False)
+        self._forbid_hierarchy_gather(monkeypatch)
+        assert run(True) == scalar
+        assert int(scalar[-1]["sampling_scalar_accesses"]) > 0
