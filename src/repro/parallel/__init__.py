@@ -14,13 +14,33 @@ package executes the same schedule for real:
   merge when inputs are corrupt or workers die.
 """
 
-from repro.parallel.driver import DriverReport, RankOutcome, profile_ranks
-from repro.parallel.merge import (
-    ParallelMergeReport,
-    merge_rpdb_files,
-    parallel_reduction_merge,
-)
-from repro.parallel.registry import APPS, rank_runner, register_app, run_app_rank
+# Exports resolve on first use (PEP 562), so importing one submodule —
+# ``repro.staticcheck`` reads the app table from the registry — does not
+# load the driver's and the merge's process-pool machinery.
+from importlib import import_module
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.parallel.driver import DriverReport, RankOutcome, profile_ranks
+    from repro.parallel.merge import (
+        ParallelMergeReport,
+        merge_rpdb_files,
+        parallel_reduction_merge,
+    )
+    from repro.parallel.registry import APPS, rank_runner, register_app, run_app_rank
+
+_EXPORTS = {
+    "APPS": "registry",
+    "DriverReport": "driver",
+    "ParallelMergeReport": "merge",
+    "RankOutcome": "driver",
+    "merge_rpdb_files": "merge",
+    "parallel_reduction_merge": "merge",
+    "profile_ranks": "driver",
+    "rank_runner": "registry",
+    "register_app": "registry",
+    "run_app_rank": "registry",
+}
 
 __all__ = [
     "APPS",
@@ -34,3 +54,10 @@ __all__ = [
     "register_app",
     "run_app_rank",
 ]
+
+
+def __getattr__(name: str) -> object:
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f"repro.parallel.{module}"), name)

@@ -20,7 +20,14 @@ from typing import Callable, Protocol
 from repro.core.profiledb import ProfileDB
 from repro.errors import ConfigError
 
-__all__ = ["APPS", "RankRunner", "rank_runner", "register_app", "run_app_rank"]
+__all__ = [
+    "APPS",
+    "APP_MODULES",
+    "RankRunner",
+    "rank_runner",
+    "register_app",
+    "run_app_rank",
+]
 
 
 class RankRunner(Protocol):
@@ -29,8 +36,10 @@ class RankRunner(Protocol):
     ) -> ProfileDB: ...
 
 
-# app name -> module with a run_rank(rank, n_ranks, variant, preset) function
-_APP_MODULES = {
+# The one app table: app name -> module publishing run_rank(rank, n_ranks,
+# variant, preset), VARIANTS and static_model(variant, preset).
+# repro.staticcheck.registry resolves static models through it too.
+APP_MODULES: dict[str, str] = {
     "amg2006": "repro.apps.amg2006",
     "lulesh": "repro.apps.lulesh",
     "nw": "repro.apps.nw",
@@ -41,7 +50,7 @@ _APP_MODULES = {
 # Extra runners registered at runtime (tests, downstream users).
 _EXTRA: dict[str, RankRunner] = {}
 
-APPS: tuple[str, ...] = tuple(sorted(_APP_MODULES))
+APPS: tuple[str, ...] = tuple(sorted(APP_MODULES))
 
 
 def register_app(name: str, runner: RankRunner) -> None:
@@ -53,9 +62,9 @@ def rank_runner(app: str) -> RankRunner:
     runner = _EXTRA.get(app)
     if runner is not None:
         return runner
-    module_name = _APP_MODULES.get(app)
+    module_name = APP_MODULES.get(app)
     if module_name is None:
-        known = ", ".join(sorted((*_APP_MODULES, *_EXTRA)))
+        known = ", ".join(sorted((*APP_MODULES, *_EXTRA)))
         raise ConfigError(f"unknown app {app!r}; known apps: {known}")
     return import_module(module_name).run_rank
 

@@ -25,8 +25,10 @@ Backpressure and durability: handlers validate blobs through the
 hardened codec, then block on a **bounded** queue feeding one consumer
 task that owns all store writes.  The ack is only sent after the
 consumer resolves the request's future post-commit, so a slow disk
-backs pressure up through the queue to every connected client, and an
-acked blob is on disk.  Corrupt blobs are rejected at the front door
+backs pressure up through the queue to every connected client.  The
+commit is an atomic rename (``ProfileStore._atomic_write``) with no
+fsync of the file or its directory: an acked blob is never torn, but a
+power loss can still drop it (ROADMAP item 4).  Corrupt blobs are rejected at the front door
 (``ProfileError`` from the codec) without ever touching the store.
 
 Self-instrumentation (``repro.obs``): every request runs under a wall

@@ -56,7 +56,6 @@ class SimProcess:
         self.pmu = None  # PMU engine shared by all threads of this process
         self.sanitizer = None  # set by repro.sanitize when a session is active
         self.obs = None  # set by repro.obs when a session is active
-        self.sampler = None  # set by repro.sim.sampling when a session is active
 
         topo = machine.topology
         self.master = SimThread(
@@ -74,7 +73,9 @@ class SimProcess:
 
         # Sanitizer activation seam: only consulted when repro.sanitize has
         # actually been imported, so runs that never touch the subsystem pay
-        # one dict lookup per process — and zero per access.
+        # one dict lookup per process — and zero per access.  A sanitizer is
+        # the only session that sends Ctx.access_gather through the scalar
+        # load_ip/store_ip calls.
         san_mod = sys.modules.get("repro.sanitize")
         if san_mod is not None:
             san_mod.maybe_install(self)
@@ -83,11 +84,6 @@ class SimProcess:
         obs_mod = sys.modules.get("repro.obs")
         if obs_mod is not None:
             obs_mod.maybe_attach(self)
-        # Sampled simulation rides the same seam: only processes created
-        # while a repro.sim.sampling session is active get a sampler.
-        samp_mod = sys.modules.get("repro.sim.sampling")
-        if samp_mod is not None:
-            samp_mod.maybe_attach(self)
 
     # -- modules ------------------------------------------------------------
 

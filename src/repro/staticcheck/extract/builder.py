@@ -17,6 +17,7 @@ from math import gcd
 from typing import Any
 
 from repro.errors import ConfigError
+from repro.parallel.registry import APP_MODULES
 from repro.sim.arrays import SimArray
 from repro.sim.process import SimProcess
 from repro.staticcheck.extract.interp import ExtractionError, Interp
@@ -29,7 +30,6 @@ from repro.staticcheck.model import (
     PerThreadSlotPattern,
     StaticModel,
 )
-from repro.staticcheck.registry import _APP_MODULES
 
 __all__ = ["ExtractionResult", "extract_model", "classify_pattern"]
 
@@ -169,7 +169,7 @@ def _resolve_module(app: str | types.ModuleType) -> tuple[str, types.ModuleType]
     if isinstance(app, types.ModuleType):
         name = getattr(app, "APP_NAME", app.__name__.rsplit(".", 1)[-1])
         return name, app
-    path = _APP_MODULES.get(app)
+    path = APP_MODULES.get(app)
     if path is None:
         raise ConfigError(f"unknown app {app!r} (no registered module)")
     return app, importlib.import_module(path)

@@ -1,8 +1,9 @@
-"""App registry for static models (mirrors ``repro.parallel.registry``).
+"""App registry for static models.
 
 Each bundled app module publishes ``static_model(variant, preset)``
 next to its runner, so the declarations live beside the code they
-describe; this registry resolves app names lazily to avoid importing
+describe.  The app table is :data:`repro.parallel.registry.APP_MODULES`;
+this registry resolves app names through it lazily to avoid importing
 every app at CLI startup.
 """
 
@@ -12,6 +13,7 @@ from importlib import import_module
 from typing import Callable
 
 from repro.errors import ConfigError
+from repro.parallel.registry import APP_MODULES, APPS
 from repro.staticcheck.model import StaticModel
 
 __all__ = [
@@ -21,17 +23,9 @@ __all__ = [
     "register_static_app",
 ]
 
-_APP_MODULES: dict[str, str] = {
-    "nw": "repro.apps.nw",
-    "streamcluster": "repro.apps.streamcluster",
-    "lulesh": "repro.apps.lulesh",
-    "amg2006": "repro.apps.amg2006",
-    "sweep3d": "repro.apps.sweep3d",
-}
-
 _CUSTOM: dict[str, Callable[[str, str], StaticModel]] = {}
 
-STATIC_APPS = tuple(sorted(_APP_MODULES))
+STATIC_APPS = APPS
 
 
 def register_static_app(
@@ -43,9 +37,9 @@ def register_static_app(
 
 def app_variants(app: str) -> tuple[str, ...]:
     """The ``VARIANTS`` tuple a bundled app module publishes."""
-    module_name = _APP_MODULES.get(app)
+    module_name = APP_MODULES.get(app)
     if module_name is None:
-        known = ", ".join(sorted(set(_APP_MODULES) | set(_CUSTOM)))
+        known = ", ".join(sorted(set(APP_MODULES) | set(_CUSTOM)))
         raise ConfigError(f"unknown app {app!r} (known: {known})")
     return tuple(import_module(module_name).VARIANTS)
 
@@ -56,9 +50,9 @@ def build_static_model(
     """Build the static model for a bundled (or registered) app."""
     if app in _CUSTOM:
         return _CUSTOM[app](variant, preset)
-    module_name = _APP_MODULES.get(app)
+    module_name = APP_MODULES.get(app)
     if module_name is None:
-        known = ", ".join(sorted(set(_APP_MODULES) | set(_CUSTOM)))
+        known = ", ".join(sorted(set(APP_MODULES) | set(_CUSTOM)))
         raise ConfigError(f"unknown app {app!r} (known: {known})")
     module = import_module(module_name)
     builder = getattr(module, "static_model", None)

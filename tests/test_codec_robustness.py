@@ -143,12 +143,58 @@ class TestVersionCompat:
         assert struct.unpack_from("<H", data, 4)[0] == 2
 
 
+def _legacy_sampled_meta(rank: int) -> dict[str, str]:
+    """Rank meta as the sampled-simulation mode of ``hpcview run`` wrote
+    it before that mode was removed: job-level settings plus per-rank
+    tallies."""
+    return {
+        "app": "unit",
+        "rank": str(rank),
+        "sampling_rate": "0.25",
+        "sampling_min_run": "64",
+        "sampling_seed": "24301",
+        "sampling_issued_runs": str(40 + rank),
+        "sampling_issued_accesses": str(5120 + 64 * rank),
+        "sampling_scalar_accesses": "998",
+        "sampling_skipped_runs": str(30 + rank),
+        "sampling_skipped_accesses": str(3840 + 64 * rank),
+        "sampling_estimated_cycles": str(91000 + rank),
+        "sampling_scale": repr(1.6 + rank / 10),
+    }
+
+
 class TestRoundTrip:
-    def test_meta_round_trips(self):
+    def test_meta_round_trips(self, tmp_path, capsys):
+        from repro.tools.hpcview import main
+
         db = _reference_db()
         rt = ProfileDB.from_bytes(db.to_bytes())
         assert rt.meta == {"app": "unit", "rank": "3"}
         assert rt.to_bytes() == db.to_bytes()
+
+        # One more input: legacy sampled-mode rank DBs still decode...
+        legacy = []
+        for rank in (0, 1):
+            old = _reference_db()
+            old.meta = _legacy_sampled_meta(rank)
+            rt = ProfileDB.from_bytes(old.to_bytes())
+            assert rt.meta == _legacy_sampled_meta(rank)
+            assert rt.to_bytes() == old.to_bytes()
+            legacy.append(rt)
+        # ...merge, keeping the job-level keys every rank agrees on...
+        assert merge_profiles(legacy).meta == {
+            "app": "unit",
+            "sampling_rate": "0.25",
+            "sampling_min_run": "64",
+            "sampling_seed": "24301",
+            "sampling_scalar_accesses": "998",
+        }
+        # ...and print with ``hpcview info``.
+        path = tmp_path / "0000.rpdb"
+        path.write_bytes(legacy[0].to_bytes())
+        assert main(["info", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "sampling_scale" in out and "1.6" in out
 
     @given(
         st.lists(

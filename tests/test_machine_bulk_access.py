@@ -830,12 +830,12 @@ class TestGatherCtx:
 
 
 class TestGatherSessions:
-    """Sanitizer and sampler sessions take the scalar fallback."""
+    """A sanitizer session takes the scalar fallback."""
 
     @staticmethod
     def _forbid_hierarchy_gather(monkeypatch):
         def forbidden(*args, **kwargs):
-            raise AssertionError("session gathers must take the scalar calls")
+            raise AssertionError("sanitized gathers must take the scalar calls")
 
         monkeypatch.setattr(MemoryHierarchy, "access_gather", forbidden)
 
@@ -878,25 +878,3 @@ class TestGatherSessions:
         assert scalar == gathered
         kinds = {kind for kind, *_ in scalar[0]}
         assert {"oob-read", "oob-write", "use-after-free"} <= kinds, kinds
-
-    def test_sampler_session_statistics_identical(self, monkeypatch):
-        from repro.sim.sampling import sampling
-
-        def run(gather: bool):
-            with sampling(rate=0.5, min_run=4, seed=3):
-                prog = MiniProgram(machine=_gather_machine())
-            sampler = prog.process.sampler
-            assert sampler is not None
-            prog.process.pmu = IBSEngine(period=16, seed=11)
-            rec = _SampleRecorder()
-            prog.process.hooks.append(rec)
-            totals = _gather_script(31)(prog.master_ctx(), gather)
-            return (
-                totals, rec.samples, _thread_state(prog),
-                full_state(prog.machine.hierarchy), sampler.to_meta(),
-            )
-
-        scalar = run(False)
-        self._forbid_hierarchy_gather(monkeypatch)
-        assert run(True) == scalar
-        assert int(scalar[-1]["sampling_scalar_accesses"]) > 0

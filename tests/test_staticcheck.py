@@ -122,7 +122,11 @@ class TestCallGraphGolden:
         assert not report.truncated
 
     def test_registry_lists_all_apps(self):
+        from repro.parallel.registry import APPS
+
         assert set(STATIC_APPS) == set(GRAPH_GOLDEN)
+        # One app table: the static registry lists exactly the driver's apps.
+        assert STATIC_APPS == APPS
 
     def test_outlined_edges_present(self):
         model = build_static_model("nw")
