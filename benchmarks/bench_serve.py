@@ -17,6 +17,12 @@ Acceptance criteria checked at full scale (skipped in ``--smoke``,
 where CI timer noise would make them flaky): >= 10k stored profiles
 and memoized repeat queries >= 10x faster than cold.
 
+Decode cost is reported per stored leaf over the ingest and compaction
+phases: ``decodes_per_leaf`` (a count: one ingest validation plus one
+compaction decode) and ``decode_ms_per_leaf``.  Every run, ``--smoke``
+included, asserts ``decodes_per_leaf <= 2.0``; the gate is a count, not
+a time, so it holds on any runner.
+
 Runs two ways::
 
     PYTHONPATH=src python benchmarks/bench_serve.py --smoke
@@ -31,6 +37,7 @@ from __future__ import annotations
 
 import argparse
 import asyncio
+import contextlib
 import json
 import sys
 import tempfile
@@ -52,6 +59,7 @@ WARM_QUERIES = 200
 MIN_MEMO_SPEEDUP = 10.0  # memoized repeat vs cold materialization
 APP = "nw"
 BASE_RANKS = 8  # distinct simulated rank profiles, cycled to target count
+MAX_DECODES_PER_LEAF = 2.0  # ingest validation + one compaction
 
 
 def _quantile(sorted_values: list[float], q: float) -> float:
@@ -66,6 +74,32 @@ def _base_blobs() -> list[bytes]:
         run_app_rank(APP, rank, BASE_RANKS).to_bytes(canonical=True)
         for rank in range(BASE_RANKS)
     ]
+
+
+class _DecodeMeter:
+    """Counts ``ProfileDB.from_bytes`` calls and their wall time."""
+
+    def __init__(self) -> None:
+        self.calls = 0
+        self.seconds = 0.0
+
+    @contextlib.contextmanager
+    def metering(self):
+        original = ProfileDB.__dict__["from_bytes"]
+
+        def timed(cls, data):
+            t0 = time.perf_counter()
+            try:
+                return original.__func__(cls, data)
+            finally:
+                self.seconds += time.perf_counter() - t0
+                self.calls += 1
+
+        ProfileDB.from_bytes = classmethod(timed)
+        try:
+            yield self
+        finally:
+            ProfileDB.from_bytes = original
 
 
 async def _ingest_phase(
@@ -193,17 +227,20 @@ def run_bench(n_profiles: int, check: bool) -> dict:
         store = ProfileStore(Path(root) / "store", shards=8, arity=16)
         service = ProfileService(store, queue_size=128)
 
+        meter = _DecodeMeter()
+
         async def _run() -> dict:
             host, port = await service.start()
             try:
-                t0 = time.perf_counter()
-                trajectory = await _ingest_phase(host, port, blobs, n_profiles)
-                ingest_s = time.perf_counter() - t0
+                with meter.metering():
+                    t0 = time.perf_counter()
+                    trajectory = await _ingest_phase(host, port, blobs, n_profiles)
+                    ingest_s = time.perf_counter() - t0
 
-                t0 = time.perf_counter()
-                async with ServeClient(host, port) as client:
-                    compacted = await client.compact(APP)
-                compact_s = time.perf_counter() - t0
+                    t0 = time.perf_counter()
+                    async with ServeClient(host, port) as client:
+                        compacted = await client.compact(APP)
+                    compact_s = time.perf_counter() - t0
 
                 queries = await _query_phase(service, host, port)
             finally:
@@ -223,6 +260,11 @@ def run_bench(n_profiles: int, check: bool) -> dict:
                     "tree_rounds": compacted["rounds"],
                     "rollup_bytes": compacted["rollup_bytes"],
                 },
+                "decode": {
+                    "calls": meter.calls,
+                    "decodes_per_leaf": round(meter.calls / n_profiles, 3),
+                    "decode_ms_per_leaf": round(1e3 * meter.seconds / n_profiles, 3),
+                },
                 "query": queries,
             }
 
@@ -231,6 +273,11 @@ def run_bench(n_profiles: int, check: bool) -> dict:
         covered = _verify(store)
         assert covered == n_profiles
 
+    decodes = result["decode"]["decodes_per_leaf"]
+    assert decodes <= MAX_DECODES_PER_LEAF, (
+        f"{decodes} decodes per stored leaf during ingest and compaction; "
+        f"at most {MAX_DECODES_PER_LEAF} (ingest validation + compaction)"
+    )
     if check:
         assert n_profiles >= 10_000, "full scale means 10k+ stored profiles"
         speedup = result["query"]["memoization"]["speedup"]
@@ -254,6 +301,9 @@ def _render(result: dict) -> str:
                        f"{compact['seconds']}s"),
         ("rollup", f"{compact['rollup_bytes']} bytes, byte-identical "
                    f"to sequential merge"),
+        ("decodes per leaf", f"{result['decode']['decodes_per_leaf']} "
+                             f"(ingest + compaction)"),
+        ("decode ms per leaf", f"{result['decode']['decode_ms_per_leaf']}"),
         ("query cold mean / p99", f"{query['cold_mean_ms']}ms / "
                                   f"{query['cold_p99_ms']}ms"),
         ("query warm p50/p95/p99", f"{query['warm_p50_ms']} / "

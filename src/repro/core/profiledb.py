@@ -14,6 +14,18 @@ indices, bad tags, unbounded varints — raises :class:`ProfileError`
 instead of leaking ``IndexError``/``UnicodeDecodeError`` from the guts
 of the parser.
 
+Decoding runs in two phases.  The string table (raw UTF-8) is read
+sequentially; everything after it is varints, key tags included (one
+byte each, values 0-2).  Phase one tokenizes that body into one
+``list[int]``: a regular-expression split finds the multi-byte varints,
+and the one-byte varints between them are copied in bulk, so Python only
+runs per token for the multi-byte ones.  Phase two walks the list once,
+iteratively, and builds the CCTs.  Each count is bounded by the tokens
+left over the fewest tokens one item needs; a token is at least one
+byte, so this bound is at least as tight as one on the bytes left.  The
+decoder accepts exactly what a byte-at-a-time parser accepts: a key tag
+is one byte there, so a tag written as a multi-byte varint is rejected.
+
 Format version 2 adds a small string-keyed metadata section to the
 header (used by the parallel merge to report partial results); version 1
 payloads (no metadata) still decode.
@@ -21,6 +33,7 @@ payloads (no metadata) still decode.
 
 from __future__ import annotations
 
+import re
 import struct
 import sys
 from typing import Iterator
@@ -126,43 +139,6 @@ _N_METRIC_LEVELS = len(MetricVector().levels)
 _N_METRIC_FIELDS = 5 + _N_METRIC_LEVELS
 
 
-def _read_metric_block(buf: bytes, pos: int) -> tuple[list[int], int]:
-    """Decode one node's fixed run of metric varints.
-
-    This is the decoder's hot loop (most of a profile is metric varints,
-    and most of those fit one byte), so the single-byte case is inlined
-    and the whole block costs one function call per node instead of one
-    per field.  Semantics match :func:`_read_uvarint` exactly, including
-    the truncation and shift-cap errors.
-    """
-    values = []
-    append = values.append
-    blen = len(buf)
-    for _ in range(_N_METRIC_FIELDS):
-        if pos >= blen:
-            raise ProfileError("truncated uvarint")
-        byte = buf[pos]
-        pos += 1
-        if byte < 0x80:
-            append(byte)
-            continue
-        result = byte & 0x7F
-        shift = 7
-        while True:
-            if pos >= blen:
-                raise ProfileError("truncated uvarint")
-            byte = buf[pos]
-            pos += 1
-            result |= (byte & 0x7F) << shift
-            if not byte & 0x80:
-                break
-            shift += 7
-            if shift > _MAX_UVARINT_SHIFT:
-                raise ProfileError("uvarint exceeds 64 bits (corrupt continuation run)")
-        append(result)
-    return values, pos
-
-
 def _encode_node_header(node: CCTNode, out: bytearray, strings: _StringTable) -> None:
     key = node.key
     _write_uvarint(out, len(key))
@@ -213,66 +189,157 @@ def _encode_node(
         stack.append(iter(children))
 
 
-def _decode_node_header(
-    buf: bytes, pos: int, strings: list[str]
-) -> tuple[CCTNode, int, int]:
-    """Decode one node's key/info/metrics; returns (node, n_children, pos)."""
-    key_len, pos = _checked_count(buf, pos, "key element")
-    key_elements = []
-    for _ in range(key_len):
-        if pos >= len(buf):
-            raise ProfileError("truncated key element tag")
-        tag = buf[pos]
-        pos += 1
-        raw, pos = _read_uvarint(buf, pos)
+# -- body decoder ----------------------------------------------------------------
+
+# A multi-byte varint: a run of continuation bytes plus its final byte
+# (missing only when the buffer ends mid-varint).  Every byte between
+# two runs is a complete one-byte varint.
+_MULTI_BYTE_VARINT = re.compile(rb"([\x80-\xff]+[\x00-\x7f]?)")
+_MAX_VARINT_CONTINUATIONS = _MAX_UVARINT_SHIFT // 7 + 1
+
+# Fewest tokens each counted item can occupy, for the count bounds.
+_MIN_NODE_TOKENS = 3 + _N_METRIC_FIELDS  # key len, info len, metrics, child count
+_MIN_CLASS_TOKENS = 1 + _MIN_NODE_TOKENS  # name + root node
+_MIN_PAIR_TOKENS = 2  # key element (tag, value); info/meta entry (key, value)
+_MIN_THREAD_TOKENS = 2  # name, class count
+
+
+def _multi_byte_value(run: bytes) -> int:
+    terminated = run[-1] < 0x80
+    if len(run) - terminated >= _MAX_VARINT_CONTINUATIONS:
+        raise ProfileError("uvarint exceeds 64 bits (corrupt continuation run)")
+    if not terminated:
+        raise ProfileError("truncated uvarint")
+    value = 0
+    for byte in reversed(run):
+        value = (value << 7) | (byte & 0x7F)
+    return value
+
+
+def _tokenize(body: bytes) -> tuple[list[int], set[int]]:
+    """Split ``body`` into its varint values.
+
+    One-byte varints are copied in bulk; Python only runs per token for
+    multi-byte ones, and only once per distinct run of bytes.  Also
+    returns the indices of multi-byte tokens whose value is a valid key
+    tag: tags are single bytes, so the walk rejects a tag position
+    holding one of these (an overlong encoding).
+    """
+    parts = _MULTI_BYTE_VARINT.split(body)
+    tokens = list(parts[0])
+    overlong: set[int] = set()
+    append = tokens.append
+    extend = tokens.extend
+    values: dict[bytes, int] = {}
+    for k in range(1, len(parts), 2):
+        run = parts[k]
+        value = values.get(run)
+        if value is None:
+            value = values[run] = _multi_byte_value(run)
+        if value <= _TAG_NEG:
+            overlong.add(len(tokens))
+        append(value)
+        extend(parts[k + 1])
+    return tokens, overlong
+
+
+def _count_error(count: int, per_item: int, left: int, what: str) -> ProfileError:
+    return ProfileError(
+        f"{what} count {count} needs {per_item} or more tokens each, "
+        f"but only {left} remain"
+    )
+
+
+def _bounded(count: int, per_item: int, left: int, what: str) -> int:
+    """``count``, if ``count`` items of ``per_item`` tokens fit in ``left``."""
+    if count * per_item > left:
+        raise _count_error(count, per_item, left, what)
+    return count
+
+
+def _decode_header(run: tuple[int, ...], strings: list[str]) -> tuple[tuple, dict | None]:
+    """Key and info of one node from its header tokens (lengths included)."""
+    n_key = run[0]
+    key = []
+    for tag, raw in zip(run[1:1 + 2 * n_key:2], run[2:2 + 2 * n_key:2]):
         if tag == _TAG_STR:
-            key_elements.append(_string_at(strings, raw))
+            key.append(_string_at(strings, raw))
         elif tag == _TAG_INT:
-            key_elements.append(raw)
+            key.append(raw)
         elif tag == _TAG_NEG:
-            key_elements.append(-raw)
+            key.append(-raw)
         else:
             raise ProfileError(f"bad key tag {tag}")
-    node = CCTNode(tuple(key_elements))
-    info_len, pos = _checked_count(buf, pos, "info entry")
-    if info_len:
-        info = {}
-        for _ in range(info_len):
-            k, pos = _read_uvarint(buf, pos)
-            v, pos = _read_uvarint(buf, pos)
-            info[_string_at(strings, k)] = _string_at(strings, v)
-        node.info = info
-    values, pos = _read_metric_block(buf, pos)
-    m = MetricVector()
-    m.samples, m.latency, m.events, m.tlb_misses, m.stores = values[:5]
-    m.levels = values[5:]
-    node.metrics = m
-    n_children, pos = _checked_count(buf, pos, "child")
-    return node, n_children, pos
+    entries = run[2 + 2 * n_key:]
+    info = {
+        _string_at(strings, k): _string_at(strings, v)
+        for k, v in zip(entries[::2], entries[1::2])
+    }
+    return tuple(key), info or None
 
 
-def _decode_node(buf: bytes, pos: int, strings: list[str]) -> tuple[CCTNode, int]:
-    """Iteratively decode a node subtree.
+def _decode_tree(
+    tokens: list[int], i: int, strings: list[str], overlong: set[int],
+    headers: dict[tuple[int, ...], tuple[tuple, dict | None]],
+) -> tuple[CCTNode, int]:
+    """Build one CCT from ``tokens[i:]``; returns (root, next index).
 
-    An explicit stack (rather than recursion) keeps adversarially deep
-    inputs from turning into ``RecursionError`` half-way through a parse.
+    Node headers (key and info) repeat across a profile's threads and
+    storage classes, so each distinct run of header tokens is decoded
+    once, into ``headers``.  Children are inserted as they are decoded.
+    Running off the end of ``tokens`` raises ``IndexError``, which the
+    caller reports as truncation.
     """
-    root, n_children, pos = _decode_node_header(buf, pos, strings)
-    stack: list[tuple[CCTNode, int]] = [(root, n_children)]
+    n_tokens = len(tokens)
+    new_node = CCTNode.__new__
+    new_metrics = MetricVector.__new__
+    top: dict[tuple, CCTNode] = {}
+    # (children dict, children still to decode) of each open ancestor;
+    # a frame is popped as its last child starts.
+    stack = [(top, 1)]
     while stack:
-        node, remaining = stack[-1]
-        if remaining == 0:
+        parent, left = stack[-1]
+        if left == 1:
             stack.pop()
-            if stack:
-                parent = stack[-1][0]
-                if node.key in parent.children:
-                    raise ProfileError(f"duplicate child key {node.key}")
-                parent.children[node.key] = node
-            continue
-        stack[-1] = (node, remaining - 1)
-        child, n_kids, pos = _decode_node_header(buf, pos, strings)
-        stack.append((child, n_kids))
-    return root, pos
+        else:
+            stack[-1] = (parent, left - 1)
+        n_key = tokens[i]
+        stop = i + 1 + 2 * n_key
+        if stop > n_tokens:
+            raise _count_error(n_key, _MIN_PAIR_TOKENS, n_tokens - i - 1, "key element")
+        if overlong and not overlong.isdisjoint(range(i + 1, stop, 2)):
+            raise ProfileError("bad key tag (multi-byte encoding)")
+        n_info = tokens[stop]
+        end = stop + 1 + 2 * n_info
+        if end > n_tokens:
+            raise _count_error(n_info, _MIN_PAIR_TOKENS, n_tokens - stop - 1, "info entry")
+        run = tuple(tokens[i:end])
+        header = headers.get(run)
+        if header is None:
+            header = headers[run] = _decode_header(run, strings)
+        key, info = header
+        if info is not None:
+            info = info.copy()  # each node owns its info dict; keys are shared
+        stop = end + _N_METRIC_FIELDS
+        n_children = tokens[stop]
+        m = new_metrics(MetricVector)
+        m.samples, m.latency, m.events, m.tlb_misses, m.stores = tokens[end:end + 5]
+        m.levels = tokens[end + 5:stop]
+        i = stop + 1
+        node = new_node(CCTNode)
+        node.key = key
+        node.info = info
+        node.metrics = m
+        node.children = children = {}
+        if key in parent:
+            raise ProfileError(f"duplicate child key {key}")
+        parent[key] = node
+        if n_children:
+            if n_children * _MIN_NODE_TOKENS > n_tokens - i:
+                raise _count_error(n_children, _MIN_NODE_TOKENS, n_tokens - i, "child")
+            stack.append((children, n_children))
+    (root,) = top.values()
+    return root, i
 
 
 # -- profiles -------------------------------------------------------------------
@@ -424,6 +491,10 @@ class ProfileDB:
             "repro_codec_decodes_total", 1,
             help_text="ProfileDB decode operations",
         )
+        obs.metrics.inc(
+            "repro_codec_decoded_bytes_total", len(data),
+            help_text="bytes consumed by the profile decoder",
+        )
         return db
 
     @classmethod
@@ -448,35 +519,50 @@ class ProfileDB:
             except UnicodeDecodeError as exc:
                 raise ProfileError(f"string-table entry is not valid UTF-8: {exc}") from exc
             pos = end
-        name_idx, pos = _read_uvarint(data, pos)
-        db = cls(_string_at(strings, name_idx))
+        tokens, overlong = _tokenize(data[pos:])
+        try:
+            db, i = cls._decode_body(tokens, version, strings, overlong)
+        except IndexError:
+            raise ProfileError("truncated profile body") from None
+        if i != len(tokens):
+            raise ProfileError(f"{len(tokens) - i} varints of trailing data after profile body")
+        return db
+
+    @classmethod
+    def _decode_body(
+        cls, tokens: list[int], version: int, strings: list[str], overlong: set[int]
+    ) -> tuple["ProfileDB", int]:
+        """Walk the body tokens; returns (db, index after the last one used)."""
+        n_tokens = len(tokens)
+        headers: dict[tuple[int, ...], tuple[tuple, dict | None]] = {}
+        db = cls(_string_at(strings, tokens[0]))
+        i = 1
         if version >= 2:
-            n_meta, pos = _checked_count(data, pos, "meta entry")
+            n_meta = _bounded(tokens[i], _MIN_PAIR_TOKENS, n_tokens - i - 1, "meta entry")
+            i += 1
             for _ in range(n_meta):
-                k, pos = _read_uvarint(data, pos)
-                v, pos = _read_uvarint(data, pos)
-                db.meta[_string_at(strings, k)] = _string_at(strings, v)
-        n_threads, pos = _checked_count(data, pos, "thread")
+                db.meta[_string_at(strings, tokens[i])] = _string_at(strings, tokens[i + 1])
+                i += 2
+        n_threads = _bounded(tokens[i], _MIN_THREAD_TOKENS, n_tokens - i - 1, "thread")
+        i += 1
         for _ in range(n_threads):
-            tname_idx, pos = _read_uvarint(data, pos)
-            profile = ThreadProfile(_string_at(strings, tname_idx))
-            n_classes, pos = _checked_count(data, pos, "storage class")
+            profile = ThreadProfile(_string_at(strings, tokens[i]))
+            n_classes = _bounded(
+                tokens[i + 1], _MIN_CLASS_TOKENS, n_tokens - i - 2, "storage class"
+            )
+            i += 2
             for _ in range(n_classes):
-                cls_idx, pos = _read_uvarint(data, pos)
                 try:
-                    storage = StorageClass(_string_at(strings, cls_idx))
+                    storage = StorageClass(_string_at(strings, tokens[i]))
                 except ValueError as exc:
                     raise ProfileError(f"unknown storage class: {exc}") from exc
                 if storage in profile._ccts:
                     raise ProfileError(f"duplicate storage class {storage.value}")
-                root, pos = _decode_node(data, pos, strings)
                 tree = CCT(storage.value)
-                tree.root = root
+                tree.root, i = _decode_tree(tokens, i + 1, strings, overlong, headers)
                 profile._ccts[storage] = tree
             db.add_thread(profile)
-        if pos != len(data):
-            raise ProfileError(f"{len(data) - pos} trailing bytes after profile body")
-        return db
+        return db, i
 
     def size_bytes(self) -> int:
         """Serialized size — the paper's "space overhead" figure."""

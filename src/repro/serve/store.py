@@ -243,11 +243,12 @@ class ProfileStore:
         A round with no new leaves is a no-op (generation unchanged).
         """
         manifest = self._manifest(app)
-        fresh = self.uncompacted(app)
+        leaves = self.leaves(app)
+        fresh = [ref for ref in leaves if ref.seq > manifest["compacted_upto"]]
         result = CompactionResult(
             app=app,
             generation=manifest["generation"],
-            leaves_total=len(self.leaves(app)),
+            leaves_total=len(leaves),
         )
         if not fresh:
             return result

@@ -9,6 +9,7 @@ round-trip must preserve profiles exactly (merge-equivalence included).
 
 from __future__ import annotations
 
+import hashlib
 import struct
 
 import pytest
@@ -21,6 +22,7 @@ from repro.core.metrics import MetricKind
 from repro.core.profiledb import ProfileDB, ThreadProfile
 from repro.core.storage import StorageClass
 from repro.errors import ProfileError
+from repro.parallel.registry import run_app_rank
 from repro.pmu.sample import Sample
 
 
@@ -122,6 +124,122 @@ class TestCorruptInput:
         db.add_thread(profile)
         rt = ProfileDB.from_bytes(db.to_bytes())
         assert rt.node_count() == db.node_count()
+
+
+_FRAME = bytes([1]) + _uv(3)  # key element: string-table entry 3, "frame"
+_ZERO_METRICS = _uv(0) * 10
+
+
+def _node(key: tuple[bytes, ...] = (_FRAME,), metrics: bytes = _ZERO_METRICS,
+          n_children: int = 0, children: bytes = b"") -> bytes:
+    """One encoded node without info; ``key`` holds encoded elements
+    (tag byte plus value varint) and ``metrics`` the encoded metric block."""
+    return (
+        _uv(len(key)) + b"".join(key) + _uv(0) + metrics
+        + _uv(n_children) + children
+    )
+
+
+def _payload(root: bytes) -> bytes:
+    """A v2 profile: process "p", no meta, thread "t", one heap CCT."""
+    strings = [b"p", b"t", b"heap", b"frame"]
+    table = _uv(len(strings)) + b"".join(_uv(len(s)) + s for s in strings)
+    body = _uv(0) + _uv(0) + _uv(1) + _uv(1) + _uv(1) + _uv(2) + root
+    return b"RPDB" + struct.pack("<H", 2) + table + body
+
+
+def _outcome(data: bytes) -> str:
+    try:
+        return hashlib.sha256(ProfileDB.from_bytes(data).to_bytes()).hexdigest()
+    except ProfileError:
+        return "reject"
+
+
+def _outcome_digest(data: bytes) -> str:
+    """SHA-256 over the decoder's outcome on every prefix of ``data`` (the
+    whole input included) and on every single-byte ``^0xFF`` flip."""
+    outcomes = [_outcome(data[:end]) for end in range(len(data) + 1)]
+    for offset in range(len(data)):
+        mutated = bytearray(data)
+        mutated[offset] ^= 0xFF
+        outcomes.append(_outcome(bytes(mutated)))
+    return hashlib.sha256("\n".join(outcomes).encode()).hexdigest()
+
+
+class TestPinnedDecoderOutcomes:
+    """The decoder must accept and reject exactly what the field-by-field
+    decoder it replaced did.  Both digests were recorded with that decoder.
+    A changed input digest means the encoder or the nw app changed: check
+    the outcome digest still matches before re-recording either."""
+
+    @pytest.mark.parametrize("name, build, input_sha, outcome_sha", [
+        ("reference", lambda: _reference_db().to_bytes(),
+         "87440f811ff1f571",
+         "252e191b1b7c92e4516356c8d5534f91893d8501d1c4bf6ff515109cb6aade1d"),
+        ("nw-rank0-smoke", lambda: run_app_rank("nw", 0, 2, preset="smoke").to_bytes(),
+         "e10178331c6be52c",
+         "9bc3e970bb749860cf6c73b6ba00ec7134c4930a62f2436f3bcdb9a857f5a943"),
+    ])
+    def test_outcomes_match_pinned(self, name, build, input_sha, outcome_sha):
+        data = build()
+        assert hashlib.sha256(data).hexdigest()[:16] == input_sha, f"{name} input changed"
+        assert _outcome_digest(data) == outcome_sha
+
+
+class TestBodyCases:
+    """Hand-built node bodies for the checks inside the CCT walk."""
+
+    def test_well_formed_payload_decodes(self):
+        db = ProfileDB.from_bytes(_payload(_node()))
+        root = db.threads["t"].get_cct(StorageClass.HEAP).root
+        assert root.key == ("frame",) and root.info is None
+
+    @pytest.mark.parametrize("value", [2**63, 2**64 - 1, 2**70 - 1])
+    def test_ten_byte_varints_round_trip(self, value):
+        assert len(_uv(value)) == 10
+        profile = ThreadProfile("t")
+        node = profile.cct(StorageClass.HEAP).insert_path([((KIND_FRAME, "f", value), None)])
+        node.metrics.latency = value
+        db = ProfileDB("p")
+        db.add_thread(profile)
+        data = db.to_bytes()
+        rt = ProfileDB.from_bytes(data)
+        [back] = rt.threads["t"].get_cct(StorageClass.HEAP).root.children.values()
+        assert back.key == (KIND_FRAME, "f", value)
+        assert back.metrics.latency == value
+        assert rt.to_bytes() == data
+
+    def test_eleven_byte_run_in_node_rejected(self):
+        metrics = b"\xff" * 10 + b"\x01" + _uv(0) * 9
+        with pytest.raises(ProfileError, match="64 bits"):
+            ProfileDB.from_bytes(_payload(_node(metrics=metrics)))
+
+    def test_body_ending_on_continuation_byte_rejected(self):
+        data = _payload(_node())
+        with pytest.raises(ProfileError, match="truncated"):
+            ProfileDB.from_bytes(data[:-1] + b"\x80")
+
+    def test_key_tag_3_rejected(self):
+        with pytest.raises(ProfileError, match="bad key tag"):
+            ProfileDB.from_bytes(_payload(_node(key=(bytes([3]) + _uv(3),))))
+
+    def test_multi_byte_key_tag_rejected(self):
+        # 0x81 0x00 is the varint 1 in two bytes; a tag is a single byte.
+        with pytest.raises(ProfileError, match="bad key tag"):
+            ProfileDB.from_bytes(_payload(_node(key=(b"\x81\x00" + _uv(3),))))
+
+    def test_string_index_out_of_range_rejected(self):
+        with pytest.raises(ProfileError, match="string-table index"):
+            ProfileDB.from_bytes(_payload(_node(key=(bytes([1]) + _uv(4),))))
+
+    def test_oversized_child_count_rejected(self):
+        with pytest.raises(ProfileError, match="count"):
+            ProfileDB.from_bytes(_payload(_node(n_children=1000)))
+
+    def test_duplicate_child_key_rejected(self):
+        root = _node(key=(), n_children=2, children=_node() + _node())
+        with pytest.raises(ProfileError, match="duplicate child key"):
+            ProfileDB.from_bytes(_payload(root))
 
 
 class TestVersionCompat:

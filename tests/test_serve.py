@@ -79,6 +79,27 @@ class TestStore:
         assert not again.changed and again.generation == 1
         assert store.rollup_bytes("nw") is not None
 
+    def test_compact_lists_leaves_and_reads_manifest_once(
+        self, tmp_path, blobs, monkeypatch
+    ):
+        store = ProfileStore(tmp_path / "s", shards=2)
+        for blob in blobs[:2]:
+            store.ingest("nw", blob)
+        store.compact("nw")
+        store.ingest("nw", blobs[2])
+        calls = {"leaves": 0, "_manifest": 0}
+        for name in calls:
+            original = getattr(ProfileStore, name)
+
+            def counted(self, app, _original=original, _name=name):
+                calls[_name] += 1
+                return _original(self, app)
+
+            monkeypatch.setattr(ProfileStore, name, counted)
+        result = store.compact("nw")
+        assert calls == {"leaves": 1, "_manifest": 1}
+        assert (result.generation, result.leaves_folded, result.leaves_total) == (2, 1, 3)
+
     def test_rollup_byte_identity_across_schedules(self, tmp_path, blobs):
         """The acceptance pin: three interleavings, one byte string."""
         expected = _reference(blobs, "nw")
