@@ -1,17 +1,18 @@
 """Simulator throughput: scalar vs batched vs vectorized.
 
 Times the simulator's own hot loop (not the simulated workload!) in
-simulated-accesses-per-second across the three ``access_run`` engines,
+simulated-accesses-per-second across the three ``access_run`` paths,
 and cross-checks that every path leaves bit-identical machine state:
 
 - **scalar**: one ``MemoryHierarchy.access`` call per access (the
   original oracle loop);
-- **batched**: ``access_run`` with ``engine="python"`` — the PR 1
-  per-page batched loop, the baseline the vectorized criterion is
-  measured against;
-- **vectorized**: ``access_run`` with ``engine="auto"`` — columnar
-  closed-form segments (``repro.machine.vector``), fed one merged
-  same-home run per sweep exactly as ``Ctx`` now issues them.
+- **batched**: ``access_run`` per page with vectorization switched off —
+  the python batched path (one scalar probe for a single-line run, an
+  ordered gather for any other), the baseline the vectorized criterion
+  is measured against;
+- **vectorized**: ``access_run`` as shipped — columnar closed-form
+  segments (``repro.machine.vector``) for long runs, fed one merged
+  same-home run per sweep exactly as ``Ctx`` issues them.
 
 Runs two ways:
 
@@ -23,7 +24,7 @@ Runs two ways:
 
   ``--smoke`` shrinks the workload and skips the speedup assertions (CI
   machines have unpredictable timers); the equivalence checks always run
-  and fail the bench on any engine divergence.  ``--stats-out`` dumps
+  and fail the bench on any path divergence.  ``--stats-out`` dumps
   the vectorized run's ``MachineStats`` as JSON for
   ``hpcview info --machine-stats``.
 
@@ -37,9 +38,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
-from dataclasses import replace
 from pathlib import Path
 
 from repro.machine.presets import Machine, amd_magnycours
@@ -61,11 +62,14 @@ SCENARIOS = (
 )
 
 
-def _machine(engine: str = "auto"):
-    base = amd_magnycours()
-    if engine == base.spec.sim_engine:
-        return base
-    return Machine(replace(base.spec, sim_engine=engine))
+def _machine(vector_min: float | None = None) -> Machine:
+    """The bench machine; ``vector_min`` overrides the shortest run the
+    vector engine takes (``math.inf`` keeps every run on the python
+    batched path, 2 vectorizes every strided run)."""
+    machine = amd_magnycours()
+    if vector_min is not None:
+        machine.hierarchy._vector_min = vector_min
+    return machine
 
 
 def _state(h) -> tuple:
@@ -92,8 +96,9 @@ def _scalar_sweep(hier, base: int, stride: int, count: int) -> int:
 
 
 def _batched_sweep(hier, base: int, stride: int, count: int) -> int:
-    # Split at page boundaries exactly like the PR 1 Ctx did, so the
-    # timing is an honest proxy for the pre-vectorization fast path.
+    # Split at page boundaries exactly like Ctx did before it merged
+    # same-home pages, so the timing is an honest proxy for the
+    # pre-vectorization fast path.
     page_bits = hier.page_bits
     total = 0
     cur = base
@@ -121,7 +126,7 @@ def _time(fn, *args) -> tuple[float, int]:
 
 
 def run_throughput(n_accesses: int, check_speedup: bool):
-    """Compare the engines sweep-by-sweep; returns (rows, vector machine)."""
+    """Compare the paths sweep-by-sweep; returns (rows, vector machine)."""
     rows = []
     batched_speedups = {}
     vector_speedups = {}
@@ -130,13 +135,13 @@ def run_throughput(n_accesses: int, check_speedup: bool):
         count = max(1, int(n_accesses * scale))
         base = 1 << 30
 
-        m_scalar = _machine("python")
+        m_scalar = _machine()
         dt_s, lat_s = _time(_scalar_sweep, m_scalar.hierarchy, base, stride, count)
 
-        m_batched = _machine("python")
+        m_batched = _machine(math.inf)
         dt_b, lat_b = _time(_batched_sweep, m_batched.hierarchy, base, stride, count)
 
-        m_vector = _machine("auto")
+        m_vector = _machine()
         dt_v, lat_v = _time(_merged_sweep, m_vector.hierarchy, base, stride, count)
         vector_machine = m_vector
 
@@ -182,11 +187,11 @@ def run_throughput(n_accesses: int, check_speedup: bool):
     return rows, vector_machine
 
 
-def _build_ctx(engine: str = "auto"):
+def _build_ctx(vector_min: float | None = None):
     from repro.sim.loader import LoadModule
     from repro.sim.source import SourceFile
 
-    proc = SimProcess(_machine(engine))
+    proc = SimProcess(_machine(vector_min))
     exe = LoadModule("bench.exe", is_executable=True)
     src = SourceFile("bench.c", {10: "x = a[i];"})
     main = exe.add_function("main", src, 1, 60)
@@ -197,19 +202,19 @@ def _build_ctx(engine: str = "auto"):
 
 
 def run_ctx_equivalence(n: int = 20_000) -> None:
-    """End-to-end sanity: Ctx.load_run == Ctx.load_ip loop on every engine."""
-    pa, ca = _build_ctx("python")
+    """End-to-end sanity: Ctx.load_run == Ctx.load_ip loop on every path."""
+    pa, ca = _build_ctx()
     a = ca.alloc_array("A", (n,), line=20)
     ip_a = ca.ip(10)
     for i in range(n):
         ca.load_ip(a.flat_addr(i), ip_a)
 
-    for engine in ("python", "auto", "vector"):
-        pb, cb = _build_ctx(engine)
+    for vector_min in (math.inf, None, 2):
+        pb, cb = _build_ctx(vector_min)
         b = cb.alloc_array("A", (n,), line=20)
         cb.load_run(*b.flat_run(), cb.ip(10))
-        assert pa.master.clock == pb.master.clock, engine
-        assert _state(pa.machine.hierarchy) == _state(pb.machine.hierarchy), engine
+        assert pa.master.clock == pb.master.clock, vector_min
+        assert _state(pa.machine.hierarchy) == _state(pb.machine.hierarchy), vector_min
 
 
 def _render(rows) -> str:

@@ -10,10 +10,11 @@ at the home controller.
 contiguous/strided run of addresses in one call.  It is state- and
 result-identical to the equivalent sequence of ``access`` calls (the
 differential harness in ``tests/test_machine_bulk_access.py`` enforces
-bit-identical level counts, latencies, contention cycles and PMU sample
-streams), but hoists TLB lookups to once per page, short-circuits
-repeated same-line L1 hits, and accumulates counters in locals flushed
-once per run.
+bit-identical level counts, latencies, contention charges and PMU sample
+streams).  Long strided runs go to the columnar vector engine
+(:mod:`repro.machine.vector`).  Everything else takes one python path:
+a run on a single cache line is one scalar probe plus arithmetic credits
+for its repeat L1/TLB hits, and any other run is an ordered gather.
 
 ``MemoryHierarchy.access_gather`` is the ordered gather: a short mixed
 sequence of loads and stores at arbitrary addresses (indirect walks,
@@ -40,8 +41,9 @@ lists, and the caches use list-based LRU.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
+from itertools import repeat
 
 from repro.errors import ConfigError
 from repro.machine.cache import SetAssocCache
@@ -111,15 +113,9 @@ class MemoryHierarchy:
         tlb_assoc: int = 4,
         contention: ControllerContention | None = None,
         prefetch: bool = True,
-        engine: str = "auto",
     ) -> None:
         if page_bits <= line_bits:
             raise ConfigError("pages must be larger than cache lines")
-        if engine not in ("auto", "vector", "python"):
-            raise ConfigError(
-                f"unknown access_run engine {engine!r}; "
-                "choose auto, vector or python"
-            )
         self.topology = topology
         self.latency = latency
         self.line_bits = line_bits
@@ -156,22 +152,16 @@ class MemoryHierarchy:
         self.store_count = 0
         self.prefetch_hits = 0
 
-        # Batched-path engine selection.  "python" is the batched loop
-        # alone; "auto" vectorizes runs long enough to amortize the
-        # residency scan; "vector" vectorizes every eligible run (the
-        # differential tests use it to exercise short segments).  If
-        # numpy is unavailable the vector engine degrades to "python".
-        self.engine = engine
-        self._vector_run = None
-        self._vector_min = 0
-        if engine != "python":
-            try:
-                from repro.machine.vector import VECTOR_MIN_RUN, access_run_vector
-            except ImportError:  # pragma: no cover - numpy always present in CI
-                self.engine = "python"
-            else:
-                self._vector_run = access_run_vector
-                self._vector_min = 2 if engine == "vector" else VECTOR_MIN_RUN
+        # The vector engine takes strided runs long enough to amortize its
+        # residency scan.  Imported here, not at module level, so that
+        # code which never simulates (static audit, the serve store)
+        # never imports numpy.  The differential tests lower _vector_min
+        # to vectorize short runs, or raise it to keep long runs on the
+        # python path.
+        from repro.machine.vector import VECTOR_MIN_RUN, access_run_vector
+
+        self._vector_run = access_run_vector
+        self._vector_min = VECTOR_MIN_RUN
 
     # -- hot path ---------------------------------------------------------
 
@@ -272,17 +262,11 @@ class MemoryHierarchy:
 
         Equivalent — same final machine state, same per-access results —
         to ``count`` sequential :meth:`access` calls with the same
-        arguments, but pays the Python dispatch cost once per *run*:
-        topology/latency lookups are hoisted out of the loop, the TLB is
-        consulted once per page instead of once per access, repeated
-        same-line L1 hits short-circuit the cache probe entirely, and the
-        hit/level counters accumulate in locals flushed once at the end.
+        arguments, but pays the Python dispatch cost once per *run*.
 
         All addresses in the run must live on the same home NUMA node;
         callers that can't guarantee that (pages may differ) split the run
         at page boundaries — :meth:`repro.sim.runtime.Ctx.load_run` does.
-        DRAM accesses still go through the contention model one by one
-        (its window accounting is stateful and order-sensitive).
 
         Returns the total latency in cycles.  When ``record`` is a list,
         one ``(latency, level, tlb_miss)`` tuple is appended per access in
@@ -290,28 +274,22 @@ class MemoryHierarchy:
         delivery).  Equivalence is enforced by the differential harness in
         ``tests/test_machine_bulk_access.py``.
 
-        Two engines implement the contract: the batched python loop
-        (:meth:`_access_run_python`) and the columnar vector engine
-        (:mod:`repro.machine.vector`), selected by the ``engine``
-        constructor knob.  Both are held to bit-identical results against
-        the scalar oracle; the vector engine hands anything it cannot
-        prove cold or hot back to the python loop.
+        Two paths implement the contract: the python batched path
+        (:meth:`_access_run_batched`: one scalar probe plus arithmetic
+        repeat credits for a single-line run, an ordered gather for any
+        other) and, for strided runs of at least ``VECTOR_MIN_RUN``
+        accesses, the columnar vector engine (:mod:`repro.machine.vector`),
+        which hands whatever it cannot prove cold or hot back to the
+        python path.  Both are held to bit-identical results against the
+        scalar oracle.
         """
         if count <= 0:
             return 0
-        if count == 1:
-            # A one-access run can't amortize the hoisting prologue below
-            # (page-stride callers hit this constantly): take the scalar
-            # path, which is definitionally equivalent.
-            result = self.access(hw_tid, base_vaddr, home_node, is_store)
-            if record is not None:
-                record.append(result)
-            return result[0]
-        if self._vector_run is not None and stride != 0 and count >= self._vector_min:
+        if stride and count >= self._vector_min:
             return self._vector_run(
                 self, hw_tid, base_vaddr, stride, count, home_node, is_store, record
             )
-        return self._access_run_python(
+        return self._access_run_batched(
             hw_tid, base_vaddr, stride, count, home_node, is_store, record
         )
 
@@ -319,8 +297,8 @@ class MemoryHierarchy:
         self,
         hw_tid: int,
         vaddrs: Sequence[int],
-        homes: Sequence[int],
-        stores: Sequence[bool],
+        homes: Iterable[int],
+        stores: Iterable[bool],
         record: list | None = None,
     ) -> int:
         """Ordered gather: one call for a short mixed load/store sequence.
@@ -338,9 +316,13 @@ class MemoryHierarchy:
         bulk per home node.
 
         ``homes[k]`` is the NUMA home of ``vaddrs[k]``'s page, as for
-        :meth:`access`; ``stores`` may carry entries past ``len(vaddrs)``,
-        which are ignored (kernels pass one tuple for gathers with an
-        optional tail).  Returns the total latency in cycles; when
+        :meth:`access`.  ``homes`` and ``stores`` may be any iterables
+        (:meth:`access_run` passes ``itertools.repeat``) but must yield
+        at least ``len(vaddrs)`` entries: the counters are flushed for
+        ``len(vaddrs)`` accesses.  Entries past that are ignored (kernels
+        pass one tuple for gathers with an optional tail);
+        :meth:`repro.sim.runtime.Ctx.access_gather` rejects short ones.
+        Returns the total latency in cycles; when
         ``record`` is a list, one ``(latency, level, tlb_miss)`` tuple is
         appended per access in order (PMU replay).  Equivalence with the
         scalar oracle is enforced by ``tests/test_machine_bulk_access.py``.
@@ -522,188 +504,52 @@ class MemoryHierarchy:
                 hop_counts[hops] += count
         return total
 
-    def _access_run_python(
+    def _access_run_batched(
         self,
         hw_tid: int,
         base_vaddr: int,
         stride: int,
         count: int,
         home_node: int,
-        is_store: bool = False,
-        record: list | None = None,
+        is_store: bool,
+        record: list | None,
     ) -> int:
-        """The batched python engine (and the vector engine's fallback).
+        """The python batched path (and the vector engine's remainder).
 
-        This is the PR-1 fast path: one loop iteration per cache line
-        with hoisted lookups and arithmetically short-circuited repeat
-        hits.  It handles every input shape; the vector engine delegates
-        runs (or run remainders) it cannot prove cold or hot.
+        A run whose first and last access share a cache line (stride 0
+        and one-access runs included) takes one scalar probe.  The probe
+        leaves the line MRU in L1 and its page MRU in the TLB, so the
+        ``count - 1`` repeats are L1 and TLB hits that change no state:
+        they are credited arithmetically.  Any other run is an ordered
+        gather over the run's addresses, all on ``home_node``.
         """
-        if count <= 0:
-            return 0
-        if count == 1:
-            result = self.access(hw_tid, base_vaddr, home_node, is_store)
-            if record is not None:
-                record.append(result)
-            return result[0]
-
-        lat = self.latency
-        core = self._core_of[hw_tid]
-        socket = self._socket_of[hw_tid]
-        l1 = self.l1[core]
-        l2 = self.l2[core]
-        l3 = self.l3[socket]
-        tlb = self.tlb[core]
         line_bits = self.line_bits
-        page_bits = self.page_bits
-        lat_l1 = lat.l1
-        lat_l2 = lat.l2
-        lat_l3 = lat.l3
-        tlb_walk = lat.tlb_walk
-        store_extra = lat.store_extra if is_store else 0
-        my_node = self._numa_of[hw_tid]
-        remote = home_node != my_node
-        dram_hops = self.topology.hops(my_node, home_node)
-        dram_lat = lat.dram(dram_hops)
-        dram_level = LVL_RMEM if remote else LVL_LMEM
-        dram_access = self.contention.dram_access
-        l1_access = l1.access
-        l1_install = l1.install
-        l2_access = l2.access
-        l2_install = l2.install
-        l3_access = l3.access
-        l3_install = l3.install
-        tlb_access = tlb.access
-        prefetch_on = self.prefetch_enabled
-        streams = self._streams[core]
-        rr = self._stream_rr[core]
-        rec = record.append if record is not None else None
-
+        if base_vaddr >> line_bits != (base_vaddr + (count - 1) * stride) >> line_bits:
+            return self.access_gather(
+                hw_tid,
+                range(base_vaddr, base_vaddr + count * stride, stride),
+                repeat(home_node),
+                repeat(is_store),
+                record,
+            )
+        result = self.access(hw_tid, base_vaddr, home_node, is_store)
+        if record is not None:
+            record.append(result)
+        n = count - 1
+        if not n:
+            return result[0]
+        core = self._core_of[hw_tid]
+        self.l1[core].note_repeat_hits(n)
+        self.tlb[core].note_repeat_hits(n)
+        self.level_counts[LVL_L1] += n
         if is_store:
-            self.store_count += count
+            self.store_count += n
         else:
-            self.load_count += count
-
-        total = 0
-        n1 = n2 = n3 = nd = 0  # accesses served by L1/L2/L3/DRAM
-        pf_hits = 0
-        tlb_repeats = 0  # TLB lookups skipped (page unchanged since last access)
-        l1_repeats = 0  # L1 lookups skipped (line unchanged since last access)
-        # The repeat-skip sentinel must not collide with any real page
-        # number: page -1 is reachable (negative addresses under negative
-        # strides), and an integer sentinel of -1 silently converted the
-        # first TLB walk of such a run into a repeat hit.  Pinned by
-        # tests/test_machine_bulk_access.py::TestDegenerateStrides.
-        cur_page: int | None = None
-        vaddr = base_vaddr
-        i = 0
-        while i < count:
-            # Probe the first access touching this cache line in full.
-            line = vaddr >> line_bits
-            page = vaddr >> page_bits
-            if page == cur_page:
-                # Page unchanged and nothing else touched this core's TLB
-                # mid-run: a guaranteed hit on the scalar path.
-                tlb_repeats += 1
-                cycles = 0
-                tlb_miss = False
-            elif tlb_access(page):
-                cur_page = page
-                cycles = 0
-                tlb_miss = False
-            else:
-                cur_page = page
-                cycles = tlb_walk
-                tlb_miss = True
-
-            if l1_access(line):
-                n1 += 1
-                cycles += lat_l1
-                level = LVL_L1
-            else:
-                cycles += store_extra
-                prefetched = False
-                if prefetch_on:
-                    for s in range(_STREAMS_PER_CORE):
-                        if streams[s] == line:
-                            prefetched = True
-                            streams[s] = line + 1
-                            break
-                    else:
-                        streams[rr] = line + 1
-                        rr = (rr + 1) % _STREAMS_PER_CORE
-                if l2_access(line):
-                    l1_install(line)
-                    n2 += 1
-                    cycles += lat_l2
-                    level = LVL_L2
-                elif l3_access(line):
-                    l1_install(line)
-                    l2_install(line)
-                    n3 += 1
-                    cycles += lat_l3
-                    level = LVL_L3
-                else:
-                    queue = dram_access(home_node, hw_tid)
-                    nd += 1
-                    if prefetched:
-                        pf_hits += 1
-                        cycles += lat_l3 + queue
-                    else:
-                        cycles += dram_lat + queue
-                    l1_install(line)
-                    l2_install(line)
-                    l3_install(line)
-                    level = dram_level
-            total += cycles
-            if rec is not None:
-                rec((cycles, level, tlb_miss))
-            i += 1
-            vaddr += stride
-
-            # Short-circuit every subsequent access that stays on this
-            # line: the probe left the line resident and MRU in L1 and
-            # its page resident and MRU in the TLB, so each one is
-            # exactly a TLB hit + L1 hit on the scalar path with no
-            # state change — count them arithmetically instead of
-            # looping.
-            if stride > 0:
-                k = (((line + 1) << line_bits) - vaddr + stride - 1) // stride
-            elif stride < 0:
-                k = (vaddr - (line << line_bits)) // -stride + 1
-                if vaddr < (line << line_bits):
-                    k = 0
-            else:
-                k = count - i
-            if k > count - i:
-                k = count - i
-            if k > 0:
-                tlb_repeats += k
-                l1_repeats += k
-                n1 += k
-                total += k * lat_l1
-                if rec is not None:
-                    record.extend([(lat_l1, LVL_L1, False)] * k)
-                i += k
-                vaddr += k * stride
-
-        # Flush the locally-accumulated counters in one pass.
-        self._stream_rr[core] = rr
-        lc = self.level_counts
-        lc[LVL_L1] += n1
-        lc[LVL_L2] += n2
-        lc[LVL_L3] += n3
-        if nd:
-            lc[dram_level] += nd
-            self.hop_counts[dram_hops] += nd
-            self.memmgr.note_dram_accesses(home_node, remote, nd)
-        if pf_hits:
-            self.prefetch_hits += pf_hits
-        if tlb_repeats:
-            tlb.note_repeat_hits(tlb_repeats)
-        if l1_repeats:
-            l1.note_repeat_hits(l1_repeats)
-        return total
+            self.load_count += n
+        lat_l1 = self.latency.l1
+        if record is not None:
+            record.extend([(lat_l1, LVL_L1, False)] * n)
+        return result[0] + n * lat_l1
 
     # -- conveniences -----------------------------------------------------
 

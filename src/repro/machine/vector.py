@@ -1,7 +1,8 @@
 """Columnar (vectorized) engine behind ``MemoryHierarchy.access_run``.
 
-The scalar ``access`` loop and the batched python loop pay Python
-dispatch per access / per cache probe.  This engine instead decomposes a
+The scalar ``access`` loop and the python batched path (a scalar probe
+for a single-line run, an ordered gather for any other) pay Python
+dispatch per access.  This engine instead decomposes a
 strided run into *segments* whose outcome is provable from initial
 machine state, and processes each segment as columnar event batches:
 line/page indices, page transitions and per-probe latencies are numpy
@@ -29,10 +30,10 @@ That yields two provable regimes:
 
 The residency scan finds the longest provable prefix; the first probe
 that violates the regime ends the segment, and whatever the engine
-cannot prove cold or hot is handed to ``_access_run_python`` — the
-retained batched loop — unchanged.  Splitting a run at a probe boundary
-is observably identical to processing it whole, because the skipped
-repeat accesses are credited exactly as the batched loop credits them.
+cannot prove cold or hot is handed to the python batched path
+(``MemoryHierarchy._access_run_batched``) unchanged.  Splitting a run at
+a probe boundary is observably identical to processing it whole, because
+each segment leaves exactly the state the scalar loop would.
 
 The scalar ``access`` loop remains the differential oracle: the suites
 in ``tests/test_machine_bulk_access.py`` and
@@ -46,9 +47,10 @@ import numpy as np
 
 __all__ = ["access_run_vector", "VECTOR_MIN_RUN"]
 
-# Below this run length the residency scan costs more than the batched
-# python loop saves; ``engine="auto"`` only vectorizes longer runs
-# (``engine="vector"`` always tries, which is what the tests use).
+# Below this run length the residency scan costs more than the python
+# batched path saves, so ``access_run`` only vectorizes longer runs (the
+# differential tests lower ``MemoryHierarchy._vector_min`` to try short
+# ones).
 VECTOR_MIN_RUN = 256
 
 # Data-source levels (mirrors repro.machine.hierarchy; re-declared to
@@ -81,7 +83,7 @@ def access_run_vector(
     """Vectorized equivalent of ``count`` scalar ``access`` calls.
 
     Processes provably-cold and provably-hot segments columnar;
-    delegates any remainder to ``h._access_run_python``.  Returns the
+    delegates any remainder to ``h._access_run_batched``.  Returns the
     total latency in cycles (a Python int — numpy scalars never leak
     into clocks or records).
     """
@@ -123,7 +125,7 @@ def access_run_vector(
             l_last = (vaddr + (left - 1) * stride) >> line_bits
             n = (l0 - l_last if stride < 0 else l_last - l0) + 1
             if n == 1:
-                break  # whole remainder on one line: the batched loop is O(1)
+                break  # whole remainder on one line: one scalar probe
             ks = np.arange(n, dtype=np.int64)
             if stride < 0:
                 nums = vaddr - ((l0 - ks + 1) << line_bits) + 1
@@ -207,7 +209,7 @@ def access_run_vector(
                     if 0 <= k < F:
                         F = k
         if F == 0:
-            break  # first probe isn't provably cold: batched loop decides
+            break  # first probe isn't provably cold: the python path decides
 
         aF = int(a[F]) if F < n else left
         mF = int(np.searchsorted(trans_idx, F))  # page walks in the segment
@@ -293,7 +295,7 @@ def access_run_vector(
         else:
             h.load_count += done
     if left > 0:
-        total += h._access_run_python(
+        total += h._access_run_batched(
             hw_tid, vaddr, stride, left, home_node, is_store, record
         )
     return total

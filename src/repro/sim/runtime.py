@@ -239,9 +239,16 @@ class Ctx:
         indirect walks and for per-iteration groups that touch several
         arrays, which no single strided run reproduces.  ``ips`` and
         ``stores`` may carry entries past ``len(vaddrs)``, which are
-        ignored, so one tuple serves gathers with an optional tail.
-        Returns the total latency in cycles.
+        ignored, so one tuple serves gathers with an optional tail;
+        shorter ones raise :class:`SimulationError`.  Returns the total
+        latency in cycles.
         """
+        n = len(vaddrs)
+        if len(ips) < n or len(stores) < n:
+            raise SimulationError(
+                f"access_gather: {n} addresses but {len(ips)} ips and "
+                f"{len(stores)} store flags"
+            )
         thread = self.thread
         if self._san is not None:
             # A sanitizer session observes every access one by one: take
@@ -271,7 +278,6 @@ class Ctx:
                     thread.mem_count += 1
                     note_mem(process, thread, ip, vaddr, lat, lvl, tlbm, is_store)
                 return total
-        n = len(vaddrs)
         thread.clock += total
         thread.inst_count += n
         thread.mem_count += n

@@ -1,12 +1,16 @@
 """How the proxy apps reach the simulator, pinned without scalar twins.
 
 * **Golden digests.**  The canonical-bytes SHA-256 of rank 0 at the
-  ``smoke`` preset, for every variant of amg2006, lulesh and sweep3d.
-  The digests were computed while every inner loop of these apps still
-  issued scalar ``load_ip``/``store_ip`` calls; the loops now issue
-  ordered gathers (``Ctx.access_gather``) and must still produce the
-  same bytes.  A change that moves a profile on purpose must say why
-  when it updates a digest here.
+  ``smoke`` preset, for every variant of every app.  The amg2006, lulesh
+  and sweep3d digests were computed while every inner loop of these apps
+  still issued scalar ``load_ip``/``store_ip`` calls; the loops now
+  issue ordered gathers (``Ctx.access_gather``) and must still produce
+  the same bytes.  The nw and streamcluster digests were computed while
+  ``MemoryHierarchy.access_run`` still walked runs with its own per-line
+  loop; it now takes one scalar probe for a single-line run and an
+  ordered gather for any other, and must still produce the same bytes.
+  A change that moves a profile on purpose must say why when it updates
+  a digest here.
 * **Scalar share.**  A deterministic ratio proxy for the simulator's
   per-access dispatch cost: the accesses that reach the scalar oracle
   ``MemoryHierarchy.access``, against all simulated accesses.
@@ -19,7 +23,7 @@ import hashlib
 import pytest
 
 from repro.machine.hierarchy import MemoryHierarchy
-from repro.parallel.registry import run_app_rank
+from repro.parallel.registry import APPS, run_app_rank
 
 GOLDEN_SMOKE_RANK0 = {
     ("amg2006", "original"):
@@ -40,6 +44,14 @@ GOLDEN_SMOKE_RANK0 = {
         "76fb41df352089599258585c58f7d8f75a629f8def09db05586615df1e9669a0",
     ("sweep3d", "transposed"):
         "f4de45c0a41d47720ed5cdd75e2705da4ffc6bbe4e90ba685ec3b8ec22d47998",
+    ("nw", "original"):
+        "444dc13ac6f9dbdf2697cd1a34d088e2ee0d30715f70edf81f5e036325a66752",
+    ("nw", "libnuma"):
+        "31dc5f29ba92e880cf7382ae4f5e4c66281eac10a2746c95286c2276da50c991",
+    ("streamcluster", "original"):
+        "46aea6d287e6a7a7e01751f2f4c085e3d260d1c5e45ba6902947069c16047d06",
+    ("streamcluster", "parallel-init"):
+        "4b086d861cf57fce9d4cbab5e3a592bd2f3bb9e6904d867937d65f93d1fd9d2e",
 }
 
 # Before the gather port the shares were 0.95 (amg2006), 1.00 (lulesh)
@@ -50,7 +62,7 @@ MAX_SCALAR_SHARE = 0.05
 def test_every_variant_is_pinned():
     import importlib
 
-    for app in ("amg2006", "lulesh", "sweep3d"):
+    for app in APPS:
         module = importlib.import_module(f"repro.apps.{app}")
         for variant in module.VARIANTS:
             assert (app, variant) in GOLDEN_SMOKE_RANK0

@@ -11,11 +11,14 @@ and compare everything observable.
 
 from __future__ import annotations
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import Ctx, DataCentricProfiler, SimProcess, tiny_machine
+from repro.errors import SimulationError
 from repro.util.rng import DeterministicRNG
 from repro.machine.hierarchy import LVL_RMEM, MemoryHierarchy
 from repro.machine.policies import Interleave
@@ -62,6 +65,21 @@ def scalar_replay(h: MemoryHierarchy, runs) -> list:
     return out
 
 
+def python_path(h: MemoryHierarchy) -> MemoryHierarchy:
+    """Keep every run on the python batched path, however long."""
+    h._vector_min = math.inf
+    return h
+
+
+def force_vector(h: MemoryHierarchy) -> MemoryHierarchy:
+    """Hand every strided run of two or more accesses to the vector engine."""
+    h._vector_min = 2
+    return h
+
+
+BATCHED_PATHS = {"python": python_path, "vector": force_vector}
+
+
 def batched_replay(h: MemoryHierarchy, runs) -> list:
     out: list = []
     for hw_tid, base, stride, count, home, is_store in runs:
@@ -74,17 +92,17 @@ def assert_equivalent(runs, prefetch: bool) -> None:
     stream_a = scalar_replay(a, runs)
     state_a = hierarchy_state(a)
     total = sum(lat for lat, _, _ in stream_a)
-    # Both access_run engines must match the scalar oracle: the PR 1
-    # per-page loop ("python") and the columnar one ("vector", which
-    # forces vectorization even for short runs).
-    for engine in ("python", "vector"):
-        b = tiny_machine(prefetch=prefetch, engine=engine).hierarchy
+    # Both access_run paths must match the scalar oracle: the python
+    # batched path (scalar probe or gather), kept even for long runs, and
+    # the vector engine, forced even for short ones.
+    for path, select in BATCHED_PATHS.items():
+        b = select(tiny_machine(prefetch=prefetch).hierarchy)
         stream_b = batched_replay(b, runs)
-        assert stream_a == stream_b, engine
-        assert state_a == hierarchy_state(b), engine
+        assert stream_a == stream_b, path
+        assert state_a == hierarchy_state(b), path
         # access_run's return value is the run-total latency.
-        c = tiny_machine(prefetch=prefetch, engine=engine).hierarchy
-        assert sum(c.access_run(*run[:5], run[5]) for run in runs) == total, engine
+        c = select(tiny_machine(prefetch=prefetch).hierarchy)
+        assert sum(c.access_run(*run[:5], run[5]) for run in runs) == total, path
 
 
 # ---------------------------------------------------------------------------
@@ -194,15 +212,15 @@ class TestHierarchyDifferential:
 
 
 class TestDegenerateStrides:
-    """Pinned divergences between the batched loop and the scalar oracle.
+    """Degenerate run shapes against the scalar oracle.
 
-    The batched loop's same-page repeat skip used ``cur_page = -1`` as
-    its "no page yet" sentinel, so a run whose *first* access really
-    lives on page -1 (base in [-page_size, -1]) skipped the initial TLB
-    lookup and probed the wrong line-residency state.  Fixed by a None
-    sentinel (see ``MemoryHierarchy._access_run_python``); these tests
-    keep it fixed, alongside the other degenerate shapes the audit
-    covered (stride 0, negative strides, backwards page re-crossing).
+    An earlier batched loop used ``cur_page = -1`` as its "no page yet"
+    sentinel, so a run whose *first* access really lives on page -1
+    (base in [-page_size, -1]) skipped the initial TLB lookup and probed
+    the wrong line-residency state.  The python batched path now probes
+    a single-line run through ``access`` and gathers any other, with no
+    sentinel; these tests keep page -1 honest on both batched paths,
+    alongside stride 0, negative strides and backwards page re-crossing.
     """
 
     @pytest.mark.parametrize("base", [-4096, -2048, -64, -1])
@@ -283,8 +301,10 @@ class _SampleRecorder:
         )
 
 
-def _twin(pmu_factory=None, interleave=False, engine="auto"):
-    prog = MiniProgram(machine=tiny_machine(engine=engine))
+def _twin(pmu_factory=None, interleave=False, path=None):
+    prog = MiniProgram(machine=tiny_machine())
+    if path is not None:
+        BATCHED_PATHS[path](prog.machine.hierarchy)
     if interleave:
         nodes = list(range(prog.machine.n_numa_nodes))
         prog.process.aspace.set_default_policy(Interleave(nodes))
@@ -302,16 +322,17 @@ def _thread_state(prog: MiniProgram) -> tuple:
 
 
 def _compare_ctx(scalar_ops, bulk_ops, pmu_factory=None, interleave=False,
-                 engine="auto"):
+                 path=None):
     """Run two op scripts on twin processes and compare everything.
 
-    The scalar script runs on the python engine (its accesses never take
-    ``access_run`` anyway); the bulk script runs on ``engine``, so a
-    "vector" parametrization checks the PMU sample stream is replayed
+    The scalar script is the oracle (its accesses never take
+    ``access_run``); the bulk script's runs take ``path`` (see
+    ``BATCHED_PATHS``, default: by run length), so a "vector"
+    parametrization checks the PMU sample stream is replayed
     byte-identically from the vectorized path's record.
     """
-    pa, ca, ra = _twin(pmu_factory, interleave, engine="python")
-    pb, cb, rb = _twin(pmu_factory, interleave, engine=engine)
+    pa, ca, ra = _twin(pmu_factory, interleave)
+    pb, cb, rb = _twin(pmu_factory, interleave, path)
     scalar_ops(ca)
     bulk_ops(cb)
     assert ra.samples == rb.samples
@@ -330,10 +351,10 @@ PMU_FACTORIES = {
 
 
 class TestCtxDifferential:
-    @pytest.mark.parametrize("engine", ["python", "vector"])
+    @pytest.mark.parametrize("path", sorted(BATCHED_PATHS))
     @pytest.mark.parametrize("pmu", sorted(PMU_FACTORIES))
     @pytest.mark.parametrize("interleave", [False, True])
-    def test_load_run_page_crossing(self, pmu, interleave, engine):
+    def test_load_run_page_crossing(self, pmu, interleave, path):
         # 3000 unit-stride loads cross ~6 pages; under Interleave each
         # page has a different home node, exercising per-page chunking
         # (and the same-home merge when placement is first-touch).
@@ -347,11 +368,11 @@ class TestCtxDifferential:
             a = ctx.alloc_array("A", (3000,), line=20)
             ctx.load_run(*a.flat_run(), ctx.ip(10))
 
-        _compare_ctx(scalar, bulk, PMU_FACTORIES[pmu], interleave, engine)
+        _compare_ctx(scalar, bulk, PMU_FACTORIES[pmu], interleave, path)
 
-    @pytest.mark.parametrize("engine", ["python", "vector"])
+    @pytest.mark.parametrize("path", sorted(BATCHED_PATHS))
     @pytest.mark.parametrize("pmu", sorted(PMU_FACTORIES))
-    def test_store_run_strided(self, pmu, engine):
+    def test_store_run_strided(self, pmu, path):
         def scalar(ctx: Ctx):
             a = ctx.alloc_array("A", (256, 64), line=20)
             ip = ctx.ip(10)
@@ -363,10 +384,10 @@ class TestCtxDifferential:
             a = ctx.alloc_array("A", (256, 64), line=20)
             ctx.store_run(*a.axis_run(0, 0, 3), ctx.ip(10))
 
-        _compare_ctx(scalar, bulk, PMU_FACTORIES[pmu], engine=engine)
+        _compare_ctx(scalar, bulk, PMU_FACTORIES[pmu], path=path)
 
-    @pytest.mark.parametrize("engine", ["python", "vector"])
-    def test_mixed_loads_stores_with_profiler(self, engine):
+    @pytest.mark.parametrize("path", sorted(BATCHED_PATHS))
+    def test_mixed_loads_stores_with_profiler(self, path):
         # Full stack: profiler attached, EBS skid, heap + static accesses.
         def body(ctx: Ctx, bulk: bool):
             a = ctx.alloc_array("A", (1200,), line=20, kind="calloc")
@@ -385,9 +406,9 @@ class TestCtxDifferential:
                     ctx.load_ip(a.flat_addr(i), ip)
 
         def run(bulk: bool):
-            prog = MiniProgram(
-                machine=tiny_machine(engine=engine if bulk else "python")
-            )
+            prog = MiniProgram(machine=tiny_machine())
+            if bulk:
+                BATCHED_PATHS[path](prog.machine.hierarchy)
             profiler = DataCentricProfiler(prog.process).attach()
             rec = _SampleRecorder()
             prog.process.hooks.append(rec)
@@ -554,7 +575,7 @@ def _gather_machine(prefetch: bool = True):
     from repro.machine.latency import LatencyModel
     from repro.machine.presets import Machine, tiny_spec
 
-    spec = tiny_spec(numa_per_socket=2, prefetch=prefetch, engine="python")
+    spec = tiny_spec(numa_per_socket=2, prefetch=prefetch)
     return Machine(replace(spec, latency=LatencyModel(store_extra=9)))
 
 
@@ -786,6 +807,30 @@ class TestGatherCtx:
             # (Under first touch the master's pages are all local: no
             # remote-memory event to count.)
             assert runs[0][1], "the engine delivered no samples"
+
+    @pytest.mark.parametrize("short", ["ips", "stores"])
+    def test_short_ips_or_stores_rejected(self, short):
+        # A short ips/stores sequence used to be zipped away silently:
+        # fewer accesses simulated than the counters were credited for.
+        prog, _, _ = _gather_twin(GATHER_PMUS["ibs"], False)
+        ctx = prog.master_ctx()
+        a = ctx.alloc_array("A", (4096,), line=20)
+        vaddrs = [a.flat_addr(k) for k in (0, 512, 1024)]
+        ips = [ctx.ip(10)] * 3
+        stores = [False] * 3
+        h = prog.machine.hierarchy
+        before = (full_state(h), _thread_state(prog))
+        with pytest.raises(SimulationError):
+            if short == "ips":
+                ctx.access_gather(vaddrs, ips[:2], stores)
+            else:
+                ctx.access_gather(vaddrs, ips, (False,))
+        assert (full_state(h), _thread_state(prog)) == before
+        # Longer tails stay legal and are ignored.
+        ctx.access_gather(vaddrs, ips + ips, stores + [True])
+        state = before[0]
+        assert (h.load_count, h.store_count) == (state["loads"] + 3, state["stores"])
+        assert sum(h.level_counts) == sum(state["level_counts"]) + 3
 
     def test_worker_threads_gather_remote(self):
         # Workers on other NUMA nodes gather from pages the master placed

@@ -3,24 +3,29 @@
 ``repro.machine.vector`` vectorizes ``MemoryHierarchy.access_run`` by
 proving, per fixed-stride segment, that every probed line/page is either
 all-miss (cold sweep) or all-hit (hot sweep) and applying closed forms;
-anything it cannot prove falls back to the PR 1 per-access loop.  The
-scalar ``access`` loop is retained as the differential oracle, and this
-suite drives randomized and adversarial workloads through both, asserting
+anything it cannot prove falls back to the python batched path (a scalar
+probe for a single-line remainder, an ordered gather for any other).
+The scalar ``access`` loop is the differential oracle; this suite forces
+vectorization of short runs and drives randomized and adversarial
+workloads through both, asserting
 bit-identical final ``MachineStats``, total cycles, per-access records,
 prefetch-stream state and LRU orders.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import tiny_machine
-from repro.errors import ConfigError
-from repro.machine.presets import Machine, MachineSpec, amd_magnycours
+from repro.machine.presets import Machine, amd_magnycours_spec
+from repro.machine.vector import VECTOR_MIN_RUN
 from tests.test_machine_bulk_access import (
     batched_replay,
+    force_vector,
     hierarchy_state,
     scalar_replay,
 )
@@ -28,9 +33,10 @@ from tests.test_machine_bulk_access import (
 PAGE = 4096
 
 
-def _twins(prefetch=True, engine="vector"):
-    a = tiny_machine(prefetch=prefetch, engine="python").hierarchy
-    b = tiny_machine(prefetch=prefetch, engine=engine).hierarchy
+def _twins(prefetch=True):
+    """A scalar-oracle machine and one that vectorizes every strided run."""
+    a = tiny_machine(prefetch=prefetch).hierarchy
+    b = force_vector(tiny_machine(prefetch=prefetch).hierarchy)
     return a, b
 
 
@@ -180,15 +186,9 @@ class TestRegimeEdges:
     @pytest.mark.parametrize("prefetch", [True, False])
     def test_magnycours_preset_parity(self, prefetch):
         # The bench machine, mid-size workload, both prefetch settings.
-        spec = amd_magnycours().spec
-        a = Machine(
-            MachineSpec(**{**spec.__dict__, "sim_engine": "python",
-                           "prefetch": prefetch})
-        ).hierarchy
-        b = Machine(
-            MachineSpec(**{**spec.__dict__, "sim_engine": "vector",
-                           "prefetch": prefetch})
-        ).hierarchy
+        spec = replace(amd_magnycours_spec(), prefetch=prefetch)
+        a = Machine(spec).hierarchy
+        b = force_vector(Machine(spec).hierarchy)
         runs = [
             (0, 1 << 30, 8, 3000, 0, False),
             (1, (1 << 30) + 64, 64, 1500, 1, True),
@@ -202,37 +202,22 @@ class TestRegimeEdges:
 
 
 # ---------------------------------------------------------------------------
-# engine knob
+# dispatch
 
 
-class TestEngineKnob:
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(ConfigError):
-            tiny_machine(engine="fortran")
+def test_access_run_vectorizes_from_vector_min_run():
+    # Unforced, only strided runs of VECTOR_MIN_RUN or more accesses reach
+    # the vector engine; shorter runs and stride 0 take the python path.
+    h = tiny_machine().hierarchy
+    vector_run = h._vector_run
+    counts = []
 
-    def test_python_engine_never_vectorizes(self):
-        h = tiny_machine(engine="python").hierarchy
-        assert h.engine == "python"
-        assert h._vector_run is None
+    def counting(hier, hw_tid, base, stride, count, *rest):
+        counts.append(count)
+        return vector_run(hier, hw_tid, base, stride, count, *rest)
 
-    def test_auto_gates_on_run_length(self):
-        from repro.machine.vector import VECTOR_MIN_RUN
-
-        h = tiny_machine(engine="auto").hierarchy
-        assert h.engine == "auto"
-        assert h._vector_min == VECTOR_MIN_RUN
-        forced = tiny_machine(engine="vector").hierarchy
-        assert forced._vector_min < VECTOR_MIN_RUN
-
-    def test_results_identical_across_knob_values(self):
-        runs = [
-            (0, 0x5000, 8, 600, 0, False),
-            (1, 0x5000, 8, 600, 1, True),
-            (0, 0x9000 + 5, 3, 50, 0, False),  # below the auto threshold
-        ]
-        states = []
-        for engine in ("python", "auto", "vector"):
-            h = tiny_machine(engine=engine).hierarchy
-            total = sum(h.access_run(*run[:5], run[5]) for run in runs)
-            states.append((total, hierarchy_state(h)))
-        assert states[0] == states[1] == states[2]
+    h._vector_run = counting
+    h.access_run(0, 0x5000, 8, VECTOR_MIN_RUN - 1, 0)
+    h.access_run(0, 0x9000, 0, VECTOR_MIN_RUN, 0)
+    h.access_run(0, 0x20000, 8, VECTOR_MIN_RUN, 0)
+    assert counts == [VECTOR_MIN_RUN]
