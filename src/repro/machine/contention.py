@@ -28,14 +28,18 @@ access in the *next* window::
   backlog-positional model would bill the whole queue to whichever
   threads run late in the round.
 - Windows with less than ``min_traffic`` total DRAM accesses are treated
-  as unloaded.  An unloaded window *discards* its traffic and
+  as unloaded.  By default an unloaded window *discards* its traffic and
   issuing-thread set entirely: ``min_traffic`` is a bandwidth (per-window
   rate) threshold, and a stream that never reaches it never queues, no
   matter how imbalanced its aggregate share across windows is.  That is
   intended behaviour (pinned by
   ``tests/test_machine_contention.py::TestUnloadedWindows``) — but it
   does mean a steady stream alternating just below/above the threshold
-  resets its history on every sub-threshold window.
+  resets its history on every sub-threshold window.  The opt-in
+  ``unloaded_carry`` knob instead decays the unloaded window's per-node
+  counts into the next window (retaining the issuing-thread set while
+  any carried traffic remains), so sustained near-threshold imbalance
+  accumulates and eventually crosses into the loaded path.
 """
 
 from __future__ import annotations
@@ -54,6 +58,7 @@ class ControllerContention:
         "n_nodes",
         "min_traffic",
         "max_penalty",
+        "unloaded_carry",
         "_counts",
         "_tids",
         "_penalty",
@@ -66,6 +71,7 @@ class ControllerContention:
         n_nodes: int,
         capacity_per_window: int = 64,
         max_penalty: int = 300,
+        unloaded_carry: float = 0.0,
     ) -> None:
         if n_nodes < 1:
             raise ConfigError("need at least one NUMA node")
@@ -73,9 +79,12 @@ class ControllerContention:
             raise ConfigError("controller capacity must be >= 1")
         if max_penalty < 0:
             raise ConfigError("max_penalty must be non-negative")
+        if not 0.0 <= unloaded_carry < 1.0:
+            raise ConfigError("unloaded_carry must be in [0, 1)")
         self.n_nodes = n_nodes
         self.min_traffic = capacity_per_window
         self.max_penalty = max_penalty
+        self.unloaded_carry = unloaded_carry
         self._counts = [0] * n_nodes
         self._tids: set[int] = set()
         self._penalty = [0] * n_nodes
@@ -95,6 +104,20 @@ class ControllerContention:
         if concurrency > 1.0:
             concurrency = 1.0
         if total < self.min_traffic or n < 2 or concurrency <= 0.0:
+            carry = self.unloaded_carry
+            if carry > 0.0 and total > 0:
+                # Decay this window's traffic into the next instead of
+                # dropping it: sustained sub-threshold imbalance builds a
+                # share over time.  The issuing threads stay associated
+                # with their carried traffic.
+                carried = 0
+                for i in range(n):
+                    penalty[i] = 0
+                    counts[i] = int(counts[i] * carry)
+                    carried += counts[i]
+                if not carried:
+                    self._tids.clear()
+                return
             for i in range(n):
                 penalty[i] = 0
                 counts[i] = 0

@@ -53,6 +53,7 @@ class MachineSpec:
     tlb_assoc: int = 4
     contention_capacity: int = 64
     contention_max_penalty: int = 400
+    contention_unloaded_carry: float = 0.0
     prefetch: bool = True
     clock_hz: float = 2.0e9  # converts simulated cycles to reported seconds
     # Optional per-preset boundness-triage thresholds.  None means "use
@@ -108,6 +109,7 @@ class Machine:
             n_nodes=self.topology.n_numa_nodes,
             capacity_per_window=spec.contention_capacity,
             max_penalty=spec.contention_max_penalty,
+            unloaded_carry=spec.contention_unloaded_carry,
         )
         self.hierarchy = MemoryHierarchy(
             self.topology,

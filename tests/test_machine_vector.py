@@ -27,6 +27,7 @@ from tests.test_machine_bulk_access import (
     batched_replay,
     force_vector,
     hierarchy_state,
+    python_path,
     scalar_replay,
 )
 
@@ -202,22 +203,61 @@ class TestRegimeEdges:
 
 
 # ---------------------------------------------------------------------------
-# dispatch
+# engine dispatch: the run-length threshold picks vector or python
 
 
-def test_access_run_vectorizes_from_vector_min_run():
-    # Unforced, only strided runs of VECTOR_MIN_RUN or more accesses reach
-    # the vector engine; shorter runs and stride 0 take the python path.
-    h = tiny_machine().hierarchy
+def _counting_vector_run(h):
+    """Record the length of every run ``h`` hands to the vector engine."""
     vector_run = h._vector_run
-    counts = []
+    counts: list[int] = []
 
     def counting(hier, hw_tid, base, stride, count, *rest):
         counts.append(count)
         return vector_run(hier, hw_tid, base, stride, count, *rest)
 
     h._vector_run = counting
-    h.access_run(0, 0x5000, 8, VECTOR_MIN_RUN - 1, 0)
-    h.access_run(0, 0x9000, 0, VECTOR_MIN_RUN, 0)
-    h.access_run(0, 0x20000, 8, VECTOR_MIN_RUN, 0)
-    assert counts == [VECTOR_MIN_RUN]
+    return counts
+
+
+class TestEngineKnob:
+    def test_python_engine_never_vectorizes(self):
+        # The python-path seam (the throughput bench's batched row) keeps
+        # even long strided runs off the vector engine.
+        h = python_path(tiny_machine().hierarchy)
+        counts = _counting_vector_run(h)
+        h.access_run(0, 0x5000, 8, 4 * VECTOR_MIN_RUN, 0)
+        h.access_run(1, 0x40000, 64, 2 * VECTOR_MIN_RUN, 1, True)
+        assert counts == []
+
+    def test_auto_gates_on_run_length(self):
+        # Unforced, only strided runs of VECTOR_MIN_RUN or more accesses
+        # reach the vector engine; shorter runs and stride 0 take the
+        # python path.
+        h = tiny_machine().hierarchy
+        assert h._vector_min == VECTOR_MIN_RUN
+        assert force_vector(tiny_machine().hierarchy)._vector_min < VECTOR_MIN_RUN
+        counts = _counting_vector_run(h)
+        h.access_run(0, 0x5000, 8, VECTOR_MIN_RUN - 1, 0)
+        h.access_run(0, 0x9000, 0, VECTOR_MIN_RUN, 0)
+        h.access_run(0, 0x20000, 8, VECTOR_MIN_RUN, 0)
+        assert counts == [VECTOR_MIN_RUN]
+
+    def test_results_identical_across_knob_values(self):
+        runs = [
+            (0, 0x5000, 8, 600, 0, False),
+            (1, 0x5000, 8, 600, 1, True),
+            (0, 0x9000 + 5, 3, 50, 0, False),  # below the default threshold
+        ]
+        states = []
+        for seam in (python_path, lambda h: h, force_vector):
+            h = seam(tiny_machine().hierarchy)
+            total = sum(h.access_run(*run[:5], run[5]) for run in runs)
+            states.append((total, hierarchy_state(h)))
+        oracle = tiny_machine().hierarchy
+        total = sum(
+            oracle.access(hw_tid, base + i * stride, home, is_store)[0]
+            for hw_tid, base, stride, count, home, is_store in runs
+            for i in range(count)
+        )
+        states.append((total, hierarchy_state(oracle)))
+        assert states[0] == states[1] == states[2] == states[3]
