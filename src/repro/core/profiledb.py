@@ -26,6 +26,12 @@ byte, so this bound is at least as tight as one on the bytes left.  The
 decoder accepts exactly what a byte-at-a-time parser accepts: a key tag
 is one byte there, so a tag written as a multi-byte varint is rejected.
 
+The walk has two targets.  :meth:`ProfileDB.from_bytes` builds fresh
+trees; :meth:`ProfileDB.fold_bytes` adds each decoded node straight
+into an accumulator :class:`ThreadProfile`, with the result of a decode
+followed by a merge but no trees of the blob's own.  The serve store
+folds every ingested leaf this way, so each leaf is decoded once.
+
 Format version 2 adds a small string-keyed metadata section to the
 header (used by the parallel merge to report partial results); version 1
 payloads (no metadata) still decode.
@@ -36,6 +42,7 @@ from __future__ import annotations
 import re
 import struct
 import sys
+from operator import add
 from typing import Iterator
 
 from repro.core.cct import CCT, CCTNode, canonical_key_order
@@ -278,22 +285,55 @@ def _decode_header(run: tuple[int, ...], strings: list[str]) -> tuple[tuple, dic
     return tuple(key), info or None
 
 
+class _FoldScope:
+    """Per-blob state of a decode into an accumulator (see ``fold_bytes``).
+
+    ``claims`` maps each node whose info this blob set to the thread that
+    set it.  ``merge_profiles`` merges a blob's threads in name order and
+    the first non-empty info wins, so once a thread arrives out of name
+    order (``reordered``; the encoder never writes that), a node's info
+    goes to the lowest-named thread that has one.  Root-key mismatches
+    are merge errors, raised only after the whole blob decoded, as a
+    decode followed by a merge would raise them.
+    """
+
+    __slots__ = ("thread", "reordered", "claims", "mismatches")
+
+    def __init__(self) -> None:
+        self.thread = ""
+        self.reordered = False
+        self.claims: dict[CCTNode, str] = {}
+        self.mismatches: list[tuple[str, str, tuple, tuple]] = []
+
+
 def _decode_tree(
     tokens: list[int], i: int, strings: list[str], overlong: set[int],
     headers: dict[tuple[int, ...], tuple[tuple, dict | None]],
-) -> tuple[CCTNode, int]:
-    """Build one CCT from ``tokens[i:]``; returns (root, next index).
+    top: dict[tuple, CCTNode], fold: _FoldScope | None = None,
+) -> int:
+    """Decode one CCT from ``tokens[i:]`` into ``top``; returns the next index.
 
-    Node headers (key and info) repeat across a profile's threads and
-    storage classes, so each distinct run of header tokens is decoded
-    once, into ``headers``.  Children are inserted as they are decoded.
-    Running off the end of ``tokens`` raises ``IndexError``, which the
-    caller reports as truncation.
+    ``top`` is empty to build a fresh tree, or holds an accumulator's
+    root to fold the tree into it (``fold`` given): a decoded node whose
+    key its parent already has adds its metrics to that node, as
+    :meth:`CCTNode.merge` would, and a node seen twice in this tree is a
+    duplicate child key.  Node headers (key and info) repeat across a
+    profile's threads and storage classes, so each distinct run of
+    header tokens is decoded once, into ``headers``.  Running off the
+    end of ``tokens`` raises ``IndexError``, which the caller reports as
+    truncation.
     """
     n_tokens = len(tokens)
     new_node = CCTNode.__new__
     new_metrics = MetricVector.__new__
-    top: dict[tuple, CCTNode] = {}
+    if fold is None:
+        seen = None
+    else:
+        seen = set()
+        seen_add = seen.add
+        claims = fold.claims
+        thread = fold.thread
+        reordered = fold.reordered
     # (children dict, children still to decode) of each open ancestor;
     # a frame is popped as its last child starts.
     stack = [(top, 1)]
@@ -318,28 +358,55 @@ def _decode_tree(
         if header is None:
             header = headers[run] = _decode_header(run, strings)
         key, info = header
-        if info is not None:
-            info = info.copy()  # each node owns its info dict; keys are shared
         stop = end + _N_METRIC_FIELDS
         n_children = tokens[stop]
-        m = new_metrics(MetricVector)
-        m.samples, m.latency, m.events, m.tlb_misses, m.stores = tokens[end:end + 5]
-        m.levels = tokens[end + 5:stop]
         i = stop + 1
-        node = new_node(CCTNode)
-        node.key = key
-        node.info = info
-        node.metrics = m
-        node.children = children = {}
-        if key in parent:
-            raise ProfileError(f"duplicate child key {key}")
-        parent[key] = node
+        if seen is None:
+            if key in parent:
+                raise ProfileError(f"duplicate child key {key}")
+            node = None
+        else:
+            node = parent.get(key)
+            if node is not None and node in seen:
+                raise ProfileError(f"duplicate child key {key}")
+        if node is None:
+            m = new_metrics(MetricVector)
+            m.samples, m.latency, m.events, m.tlb_misses, m.stores = tokens[end:end + 5]
+            m.levels = tokens[end + 5:stop]
+            node = new_node(CCTNode)
+            node.key = key
+            # Each node owns its info dict; keys are shared.
+            node.info = info.copy() if info is not None else None
+            node.metrics = m
+            node.children = children = {}
+            parent[key] = node
+            if seen is not None:
+                seen_add(node)
+                if info is not None:
+                    claims[node] = thread
+        else:
+            seen_add(node)
+            m = node.metrics
+            samples, latency, events, tlb_misses, stores = tokens[end:end + 5]
+            m.samples += samples
+            m.latency += latency
+            m.events += events
+            m.tlb_misses += tlb_misses
+            m.stores += stores
+            m.levels = list(map(add, m.levels, tokens[end + 5:stop]))
+            children = node.children
+            if info is not None:
+                if node.info is None:
+                    node.info = info.copy()
+                    claims[node] = thread
+                elif reordered and claims.get(node, thread) > thread:
+                    node.info = info.copy()
+                    claims[node] = thread
         if n_children:
             if n_children * _MIN_NODE_TOKENS > n_tokens - i:
                 raise _count_error(n_children, _MIN_NODE_TOKENS, n_tokens - i, "child")
             stack.append((children, n_children))
-    (root,) = top.values()
-    return root, i
+    return i
 
 
 # -- profiles -------------------------------------------------------------------
@@ -477,11 +544,30 @@ class ProfileDB:
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "ProfileDB":
+        return cls._observed_decode(data, None)
+
+    @classmethod
+    def fold_bytes(cls, data: bytes, into: ThreadProfile) -> dict[str, str]:
+        """Decode ``data`` straight into the accumulator ``into``.
+
+        The result is what :func:`repro.core.merge.merge_thread_profiles`
+        of each of the blob's threads, in name order, into ``into`` would
+        give, without building the blob's own trees.  Returns the blob's
+        ``meta``.  Accepts and rejects exactly what :meth:`from_bytes`
+        does, with the same messages; a merge error (a root key that is
+        not its storage class's) is raised only after the whole blob
+        decoded.  After a :class:`ProfileError`, ``into`` holds part of
+        the blob: the caller must discard it.
+        """
+        return cls._observed_decode(data, into).meta
+
+    @classmethod
+    def _observed_decode(cls, data: bytes, into: ThreadProfile | None) -> "ProfileDB":
         obs = _obs_session()
         if obs is None:
-            return cls._from_bytes_impl(data)
+            return cls._from_bytes_impl(data, into)
         start = obs.clock.now_us()
-        db = cls._from_bytes_impl(data)
+        db = cls._from_bytes_impl(data, into)
         obs.trace.complete(
             name="codec:decode", cat="codec", ts_us=start,
             dur_us=obs.clock.now_us() - start, pid=0, tid=3,
@@ -498,7 +584,7 @@ class ProfileDB:
         return db
 
     @classmethod
-    def _from_bytes_impl(cls, data: bytes) -> "ProfileDB":
+    def _from_bytes_impl(cls, data: bytes, into: ThreadProfile | None) -> "ProfileDB":
         if len(data) < _HEADER_LEN:
             raise ProfileError(f"profile shorter than the {_HEADER_LEN}-byte header")
         if data[:4] != _MAGIC:
@@ -520,19 +606,28 @@ class ProfileDB:
                 raise ProfileError(f"string-table entry is not valid UTF-8: {exc}") from exc
             pos = end
         tokens, overlong = _tokenize(data[pos:])
+        fold = None if into is None else _FoldScope()
         try:
-            db, i = cls._decode_body(tokens, version, strings, overlong)
+            db, i = cls._decode_body(tokens, version, strings, overlong, into, fold)
         except IndexError:
             raise ProfileError("truncated profile body") from None
         if i != len(tokens):
             raise ProfileError(f"{len(tokens) - i} varints of trailing data after profile body")
+        if fold is not None and fold.mismatches:
+            _, _, mine, theirs = min(fold.mismatches)
+            raise ProfileError(f"cannot merge nodes with keys {mine} != {theirs}")
         return db
 
     @classmethod
     def _decode_body(
-        cls, tokens: list[int], version: int, strings: list[str], overlong: set[int]
+        cls, tokens: list[int], version: int, strings: list[str], overlong: set[int],
+        into: ThreadProfile | None, fold: _FoldScope | None,
     ) -> tuple["ProfileDB", int]:
-        """Walk the body tokens; returns (db, index after the last one used)."""
+        """Walk the body tokens; returns (db, index after the last one used).
+
+        With ``into``, the trees are folded into it and ``db`` keeps only
+        the process name and meta.
+        """
         n_tokens = len(tokens)
         headers: dict[tuple[int, ...], tuple[tuple, dict | None]] = {}
         db = cls(_string_at(strings, tokens[0]))
@@ -551,6 +646,10 @@ class ProfileDB:
                 tokens[i + 1], _MIN_CLASS_TOKENS, n_tokens - i - 2, "storage class"
             )
             i += 2
+            if fold is not None:
+                if profile.thread_name < fold.thread:
+                    fold.reordered = True
+                fold.thread = profile.thread_name
             for _ in range(n_classes):
                 try:
                     storage = StorageClass(_string_at(strings, tokens[i]))
@@ -558,10 +657,21 @@ class ProfileDB:
                     raise ProfileError(f"unknown storage class: {exc}") from exc
                 if storage in profile._ccts:
                     raise ProfileError(f"duplicate storage class {storage.value}")
-                tree = CCT(storage.value)
-                tree.root, i = _decode_tree(tokens, i + 1, strings, overlong, headers)
-                profile._ccts[storage] = tree
-            db.add_thread(profile)
+                # With ``into`` the profile records the classes seen, for
+                # the duplicate check, but its trees are ``into``'s.
+                tree = profile._ccts[storage] = (
+                    CCT(storage.value) if into is None else into.cct(storage)
+                )
+                top = {} if into is None else {tree.root.key: tree.root}
+                i = _decode_tree(tokens, i + 1, strings, overlong, headers, top, fold)
+                if into is None:
+                    (tree.root,) = top.values()
+                elif len(top) > 1:
+                    (theirs,) = (key for key in top if key != tree.root.key)
+                    fold.mismatches.append(
+                        (profile.thread_name, storage.value, tree.root.key, theirs)
+                    )
+            db.add_thread(profile if into is None else ThreadProfile(profile.thread_name))
         return db, i
 
     def size_bytes(self) -> int:

@@ -45,7 +45,7 @@ from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from itertools import repeat
 
-from repro.errors import ConfigError
+from repro.errors import ConfigError, SimulationError
 from repro.machine.cache import SetAssocCache
 from repro.machine.contention import ControllerContention
 from repro.machine.latency import LatencyModel
@@ -320,13 +320,26 @@ class MemoryHierarchy:
         (:meth:`access_run` passes ``itertools.repeat``) but must yield
         at least ``len(vaddrs)`` entries: the counters are flushed for
         ``len(vaddrs)`` accesses.  Entries past that are ignored (kernels
-        pass one tuple for gathers with an optional tail);
-        :meth:`repro.sim.runtime.Ctx.access_gather` rejects short ones.
+        pass one tuple for gathers with an optional tail).  One that has
+        a length shorter than ``vaddrs`` raises :class:`SimulationError`;
+        an iterator without a length is trusted.
         Returns the total latency in cycles; when
         ``record`` is a list, one ``(latency, level, tlb_miss)`` tuple is
         appended per access in order (PMU replay).  Equivalence with the
         scalar oracle is enforced by ``tests/test_machine_bulk_access.py``.
         """
+        n = len(vaddrs)
+        try:
+            short = (
+                type(homes) is not repeat and len(homes) < n  # type: ignore[arg-type]
+                or type(stores) is not repeat and len(stores) < n  # type: ignore[arg-type]
+            )
+        except TypeError:  # an iterator: no length to check
+            short = False
+        if short:
+            raise SimulationError(
+                f"access_gather: {n} addresses but fewer homes or store flags"
+            )
         lat = self.latency
         core = self._core_of[hw_tid]
         l1 = self.l1[core]
@@ -474,7 +487,6 @@ class MemoryHierarchy:
         # Flush the locally-accumulated counters in one pass.  L1 and
         # TLB hits are whatever did not miss; every L1 miss probed L2,
         # and every L2 miss probed L3.
-        n = len(vaddrs)
         n1 = n - n2 - n3 - nl - nr
         self._stream_rr[core] = rr
         self.store_count += n_stores

@@ -21,15 +21,18 @@ Response::
     u32      payload_len big-endian
     payload  JSON object (ok: op result; error: {"error": ...})
 
-Backpressure and durability: handlers validate blobs through the
-hardened codec, then block on a **bounded** queue feeding one consumer
-task that owns all store writes.  The ack is only sent after the
-consumer resolves the request's future post-commit, so a slow disk
-backs pressure up through the queue to every connected client.  The
-commit is an atomic rename (``ProfileStore._atomic_write``) with no
-fsync of the file or its directory: an acked blob is never torn, but a
-power loss can still drop it (ROADMAP item 4).  Corrupt blobs are rejected at the front door
-(``ProfileError`` from the codec) without ever touching the store.
+Backpressure and durability: handlers frame-check requests, then block
+on a **bounded** queue of unvalidated blobs feeding one consumer task
+that owns all store writes.  The writer folds each blob into its app's
+in-memory rollup accumulator, which decodes and validates it in the same
+pass (:meth:`ProfileStore.ingest`), then writes the leaf.  The ack is
+only sent after the writer resolves the request's future post-commit,
+so a slow disk backs pressure up through the queue to every connected
+client.  The commit is an atomic rename (``ProfileStore._atomic_write``)
+with no fsync of the file or its directory: an acked blob is never torn,
+but a power loss can still drop it.  A corrupt blob (``ProfileError``
+from the writer's decode) is rejected with the ``corrupt-blob`` reason
+and never reaches the store's files.
 
 Self-instrumentation (``repro.obs``): every request runs under a wall
 span on the ``serve`` lane, and the session's registry collects
@@ -47,7 +50,6 @@ import json
 import struct
 from typing import TYPE_CHECKING
 
-from repro.core.profiledb import ProfileDB
 from repro.errors import ProfileError, ServeError
 from repro.serve.query import QueryEngine
 from repro.serve.store import ProfileStore
@@ -144,8 +146,8 @@ async def read_response(reader: asyncio.StreamReader) -> tuple[int, dict]:
 class ProfileService:
     """The ingest/compaction/query service around one :class:`ProfileStore`.
 
-    ``queue_size`` bounds the in-flight (validated, unacked) ingest
-    window — the backpressure knob.  ``compact_every`` > 0 folds an
+    ``queue_size`` bounds the in-flight (not yet validated, unacked)
+    ingest window — the backpressure knob.  ``compact_every`` > 0 folds an
     app's leaves automatically after that many ingests; 0 leaves
     compaction to explicit COMPACT requests (deterministic for tests).
     """
@@ -212,13 +214,13 @@ class ProfileService:
         self._metric().set_gauge(
             "repro_serve_queue_depth",
             depth,
-            help_text="validated blobs waiting for the store writer",
+            help_text="blobs waiting for the store writer",
         )
 
     # -- store writer --------------------------------------------------------
 
     async def _consume(self) -> None:
-        """Single writer: commits validated blobs, resolves ack futures."""
+        """Single writer: validates and commits blobs, resolves ack futures."""
         assert self._queue is not None
         while True:
             app, blob, future = await self._queue.get()
@@ -235,7 +237,7 @@ class ProfileService:
                 self._queue.task_done()
 
     def _commit(self, app: str, blob: bytes) -> int:
-        seq = self.store.ingest(app, blob, validated=True)
+        seq = self.store.ingest(app, blob)
         if self.compact_every > 0:
             pending = self._since_compact.get(app, 0) + 1
             if pending >= self.compact_every:
@@ -269,7 +271,6 @@ class ProfileService:
             "generation": result.generation,
             "leaves_folded": result.leaves_folded,
             "leaves_total": result.leaves_total,
-            "rounds": result.rounds,
             "rollup_bytes": result.rollup_bytes,
             "text": result.summary(),
         }
@@ -342,17 +343,16 @@ class ProfileService:
 
     async def _ingest(self, app: str, blob: bytes) -> dict:
         ProfileStore.check_app(app)
-        try:
-            ProfileDB.from_bytes(blob)  # hardened codec is the gatekeeper
-        except ProfileError as exc:
-            err = ServeError(f"rejected corrupt blob for {app!r}: {exc}")
-            err.reason = "corrupt-blob"  # type: ignore[attr-defined]
-            raise err from exc
         assert self._queue is not None, "service not started"
         future: asyncio.Future = asyncio.get_running_loop().create_future()
         await self._queue.put((app, blob, future))  # blocks when full
         self._queue_depth()
-        seq = await future  # ack only after the writer committed
+        try:
+            seq = await future  # ack only after the writer committed
+        except ProfileError as exc:  # the writer's decode is the gatekeeper
+            err = ServeError(f"rejected corrupt blob for {app!r}: {exc}")
+            err.reason = "corrupt-blob"  # type: ignore[attr-defined]
+            raise err from exc
         metric = self._metric()
         metric.inc(
             "repro_serve_ingest_total",

@@ -586,7 +586,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
     from repro.serve import ProfileService, ProfileStore
 
-    store = ProfileStore(args.store, shards=args.shards, arity=args.arity)
+    store = ProfileStore(args.store, shards=args.shards)
     service = ProfileService(
         store, queue_size=args.queue_size, compact_every=args.compact_every
     )
@@ -904,15 +904,13 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--port", type=int, default=0,
                        help="bind port (default 0: ephemeral, printed)")
     serve.add_argument("--queue-size", type=int, default=64, metavar="N",
-                       help="bounded ingest queue: validated blobs "
-                            "awaiting commit (the backpressure window)")
+                       help="bounded ingest queue: blobs awaiting validation "
+                            "and commit (the backpressure window)")
     serve.add_argument("--compact-every", type=int, default=0, metavar="N",
                        help="auto-compact an app after N ingests "
                             "(default 0: only on explicit compact requests)")
     serve.add_argument("--shards", type=int, default=4,
                        help="leaf shards per app (default 4)")
-    serve.add_argument("--arity", type=int, default=8,
-                       help="compaction reduction-tree fan-in (default 8)")
     serve.add_argument("--smoke", action="store_true",
                        help="self-test: concurrent two-app ingest, compact, "
                             "query, then verify rollups byte-identical to a "

@@ -354,3 +354,162 @@ class TestRoundTrip:
         merged_orig = merge_profiles(dbs, "job")
         merged_rt = merge_profiles(round_tripped, "job")
         assert merged_rt.canonical_bytes() == merged_orig.canonical_bytes()
+
+
+# ---------------------------------------------------------------- fold
+
+
+def _merged(dbs: list[ProfileDB]) -> bytes:
+    return merge_profiles(dbs, name="acc").canonical_bytes()
+
+
+def _fold_outcome(base: ProfileDB | None, data: bytes) -> tuple[str, object]:
+    """Fold ``data`` into a copy of ``base``'s merged thread (or an empty
+    accumulator): the canonical bytes of the result, or the error."""
+    acc = base.threads["acc.merged"].clone() if base else ThreadProfile("acc.merged")
+    try:
+        meta = ProfileDB.fold_bytes(data, acc)
+    except ProfileError as exc:
+        return "reject", str(exc)
+    if base is not None:
+        meta = {k: v for k, v in base.meta.items() if meta.get(k) == v}
+    out = ProfileDB("acc", meta=meta)
+    out.add_thread(acc)
+    return "accept", out.canonical_bytes()
+
+
+def _merge_outcome(base: ProfileDB | None, data: bytes) -> tuple[str, object]:
+    """The reference: decode with ``from_bytes``, then ``merge_profiles``."""
+    try:
+        return "accept", _merged(([base] if base else []) + [ProfileDB.from_bytes(data)])
+    except ProfileError as exc:
+        return "reject", str(exc)
+
+
+def _reordered_bytes(db: ProfileDB) -> bytes:
+    """``db`` encoded with its threads in reverse name order (the encoder
+    writes name order; a hand-made blob need not)."""
+    original = ProfileDB.all_profiles
+    ProfileDB.all_profiles = lambda self: reversed(list(original(self)))
+    try:
+        return db.to_bytes()
+    finally:
+        ProfileDB.all_profiles = original
+
+
+class TestFold:
+    """``fold_bytes`` = ``from_bytes`` then ``merge_profiles``, without the
+    intermediate trees: same accept/reject, same messages, same bytes."""
+
+    @pytest.mark.parametrize("name, build", [
+        ("reference", lambda: _reference_db().to_bytes()),
+        ("nw-rank0-smoke", lambda: run_app_rank("nw", 0, 2, preset="smoke").to_bytes()),
+    ])
+    def test_every_prefix_and_flip_matches_decode_then_merge(self, name, build):
+        data = build()
+        base = merge_profiles(
+            [run_app_rank("nw", 1, 2, preset="smoke"), _reference_db()], name="acc"
+        )
+        inputs = [data[:end] for end in range(len(data) + 1)]
+        for offset in range(len(data)):
+            mutated = bytearray(data)
+            mutated[offset] ^= 0xFF
+            inputs.append(bytes(mutated))
+        # A rejection's message does not depend on what the accumulator
+        # holds, so rejected inputs share one throwaway accumulator per
+        # kind; accepted ones fold into a fresh copy and compare bytes.
+        throwaway = {None: ThreadProfile("acc.merged"), "base": base.threads["acc.merged"].clone()}
+        accepted = 0
+        for blob in inputs:
+            try:
+                ProfileDB.from_bytes(blob)
+            except ProfileError as exc:
+                for acc in throwaway.values():
+                    with pytest.raises(ProfileError) as info:
+                        ProfileDB.fold_bytes(blob, acc)
+                    assert str(info.value) == str(exc), (name, blob[:12])
+                continue
+            for acc_base in (None, base):
+                expected = _merge_outcome(acc_base, blob)
+                assert _fold_outcome(acc_base, blob) == expected, (name, blob[:12])
+                accepted += expected[0] == "accept"
+        assert accepted >= 2  # the whole input, into each accumulator
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from(["t0", "t1", "t2"]),
+                st.sampled_from(list(StorageClass)),
+                st.lists(st.sampled_from("abc"), min_size=1, max_size=3),
+                st.integers(0, 2**40),
+            ),
+            min_size=1,
+            max_size=10,
+        ),
+        st.booleans(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_folds_like_merge_profiles(self, spec, reorder):
+        db = ProfileDB("p", meta={"k": "v", "rank": "1"})
+        for thread in sorted({t for t, *_ in spec}):
+            db.add_thread(_profile(thread, [(s, n, lat) for t, s, n, lat in spec if t == thread]))
+        # Nodes of different threads disagree on their labels, so the
+        # order the threads merge in shows in the bytes.
+        for profile in db.threads.values():
+            for storage in profile.storage_classes():
+                for node in profile.get_cct(storage).root.walk():
+                    if node.info is not None:
+                        node.info = {"label": f"{node.info['label']}@{profile.thread_name}"}
+        data = _reordered_bytes(db) if reorder else db.to_bytes()
+        base = merge_profiles([_reference_db()], name="acc")
+        for acc_base in (None, base):
+            assert _fold_outcome(acc_base, data) == _merge_outcome(acc_base, data)
+
+    def test_out_of_order_threads_keep_lowest_named_info(self):
+        db = ProfileDB("p")
+        for thread in ("t0", "t1", "t2"):
+            profile = _profile(thread, [(StorageClass.HEAP, ("main", "x"), 1)])
+            for node in profile.get_cct(StorageClass.HEAP).root.walk():
+                if node.info is not None:
+                    node.info = {"label": thread}
+            db.add_thread(profile)
+        data = _reordered_bytes(db)
+        outcome = _fold_outcome(None, data)
+        assert outcome == _merge_outcome(None, data)
+        labels = {
+            node.info["label"]
+            for node in ProfileDB.from_bytes(outcome[1]).threads["acc.merged"]
+            .get_cct(StorageClass.HEAP).root.walk() if node.info
+        }
+        assert labels == {"t0"}
+
+    def test_duplicate_child_key_rejected_into_existing_node(self):
+        # The accumulator already has the child: only the per-decode
+        # visited set can tell the second copy from a merge.
+        strings = [b"p", b"t", b"heap", b"frame", b"root"]
+        table = _uv(len(strings)) + b"".join(_uv(len(s)) + s for s in strings)
+
+        def blob(n_children: int) -> bytes:
+            root = _node(key=(bytes([1]) + _uv(4), bytes([1]) + _uv(2)),
+                         n_children=n_children, children=_node() * n_children)
+            body = _uv(0) + _uv(0) + _uv(1) + _uv(1) + _uv(1) + _uv(2) + root
+            return b"RPDB" + struct.pack("<H", 2) + table + body
+
+        acc = ThreadProfile("acc.merged")
+        ProfileDB.fold_bytes(blob(1), acc)
+        ProfileDB.fold_bytes(blob(1), acc)
+        [child] = acc.get_cct(StorageClass.HEAP).root.children.values()
+        assert child.key == ("frame",)
+        with pytest.raises(ProfileError, match="duplicate child key"):
+            ProfileDB.fold_bytes(blob(2), acc)
+        assert _fold_outcome(None, blob(2)) == _merge_outcome(None, blob(2))
+
+    def test_root_key_mismatch_is_a_merge_error_raised_last(self):
+        # from_bytes accepts a root whose key is not its storage class's;
+        # merging it does not.  Decode errors still take precedence.
+        data = _payload(_node())
+        assert _merge_outcome(None, data) == _fold_outcome(None, data)
+        assert "cannot merge nodes" in _fold_outcome(None, data)[1]
+        truncated = data[:-1]
+        assert _fold_outcome(None, truncated) == _merge_outcome(None, truncated)
+        assert "cannot merge" not in _fold_outcome(None, truncated)[1]

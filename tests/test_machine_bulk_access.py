@@ -12,6 +12,7 @@ and compare everything observable.
 from __future__ import annotations
 
 import math
+from itertools import repeat
 
 import pytest
 from hypothesis import given, settings
@@ -684,6 +685,24 @@ class TestGatherHierarchy:
         before = full_state(h)
         assert h.access_gather(0, [], [], []) == 0
         assert full_state(h) == before
+
+    @pytest.mark.parametrize("short", ["homes", "stores"])
+    def test_short_homes_or_stores_rejected(self, short):
+        # Called directly, a short homes/stores sequence used to be
+        # zipped away: one access simulated, three loads credited.
+        h = tiny_machine().hierarchy
+        before = full_state(h)
+        vaddrs = [0x1000, 0x2000, 0x3000]
+        with pytest.raises(SimulationError, match="3 addresses"):
+            if short == "homes":
+                h.access_gather(0, vaddrs, [0], (False, False, False))
+            else:
+                h.access_gather(0, vaddrs, [0, 0, 0], (False,))
+        assert full_state(h) == before
+        # Unbounded iterators stay legal, and longer tails are ignored.
+        h.access_gather(0, vaddrs, repeat(0), iter([False] * 3))
+        h.access_gather(0, vaddrs, [0] * 4, (False,) * 4)
+        assert h.load_count == 6
 
     def test_interleaved_with_runs_and_scalar_calls(self):
         a = _gather_machine().hierarchy

@@ -586,6 +586,18 @@ class TestWallDomain:
         assert session.metrics.value("repro_codec_encoded_bytes_total") == len(data)
         assert session.metrics.value("repro_codec_decoded_bytes_total") == len(data)
 
+    def test_fold_reports_as_a_decode(self):
+        from repro.core.profiledb import ProfileDB, ThreadProfile
+
+        data = run_app_rank("streamcluster", 0, 2).to_bytes()
+        with observing(ObsConfig(wall_clock=ManualClock())) as session:
+            ProfileDB.fold_bytes(data, ThreadProfile("acc"))
+        session.finalize()
+        [decode] = [s for s in spans(session.trace, "codec") if s["name"] == "codec:decode"]
+        assert decode["args"] == {"process": "streamcluster.rank0000", "bytes": len(data)}
+        assert session.metrics.value("repro_codec_decodes_total") == 1
+        assert session.metrics.value("repro_codec_decoded_bytes_total") == len(data)
+
 
 # ---------------------------------------------------------------- metrics layers
 

@@ -12,12 +12,13 @@ from __future__ import annotations
 
 import asyncio
 import json
+import os
 
 import pytest
 
 from repro.core.merge import merge_profiles
 from repro.core.profiledb import ProfileDB
-from repro.errors import ServeError
+from repro.errors import ProfileError, ServeError
 from repro.obs import ManualClock, ObsConfig, ObsSession
 from repro.parallel.registry import run_app_rank
 from repro.serve import ProfileService, ProfileStore, QueryEngine, ServeClient
@@ -34,6 +35,12 @@ def blobs():
 
 def _session() -> ObsSession:
     return ObsSession(ObsConfig(wall_clock=ManualClock()))
+
+
+def _file_kind(path) -> str:
+    if path.name == "MANIFEST.json":
+        return "manifest"
+    return "leaf" if path.parent.name.startswith("shard-") else "rollup"
 
 
 def _reference(blobs: list[bytes], app: str) -> bytes:
@@ -101,33 +108,172 @@ class TestStore:
         assert (result.generation, result.leaves_folded, result.leaves_total) == (2, 1, 3)
 
     def test_rollup_byte_identity_across_schedules(self, tmp_path, blobs):
-        """The acceptance pin: three interleavings, one byte string."""
+        """The acceptance pin: every schedule, one byte string.
+
+        A number ingests that many blobs; "restart" reopens the store
+        (the accumulator is rebuilt from disk); "corrupt" sends a
+        truncated blob, which is rejected and leaves the app on throwaway
+        validation until the next compaction.
+        """
         expected = _reference(blobs, "nw")
         schedules = {
-            "one-shot": [4],              # compact once after everything
-            "pairs": [2, 2],              # compact mid-stream
-            "eager": [1, 1, 1, 1],        # compact after every blob
+            "one-shot": [4, "compact"],
+            "pairs": [2, "compact", 2, "compact"],
+            "eager": [1, "compact"] * 4,
+            "restart": [1, "compact", 1, "restart", 1, "compact", 1,
+                        "restart", "compact"],
+            "corrupt": [1, "corrupt", 1, "compact", "corrupt", 1,
+                        "restart", "corrupt", 1, "compact"],
         }
         outputs = {}
-        for name, batches in schedules.items():
-            store = ProfileStore(tmp_path / name, shards=3, arity=2)
+        for name, steps in schedules.items():
+            root = tmp_path / name
+            store = ProfileStore(root, shards=3, arity=2)
             it = iter(blobs)
-            for batch in batches:
-                for _ in range(batch):
-                    store.ingest("nw", next(it))
-                store.compact("nw")
+            for step in steps:
+                if step == "compact":
+                    store.compact("nw")
+                elif step == "restart":
+                    store = ProfileStore(root, shards=3)
+                elif step == "corrupt":
+                    with pytest.raises(ProfileError):
+                        store.ingest("nw", blobs[0][:-3])
+                else:
+                    for _ in range(step):
+                        store.ingest("nw", next(it))
             identical, covered = store.verify_rollup("nw")
-            assert identical and covered == 4
+            assert identical and covered == 4, name
             outputs[name] = store.rollup_bytes("nw")
-        assert outputs["one-shot"] == expected
-        assert outputs["pairs"] == expected
-        assert outputs["eager"] == expected
+        assert all(out == expected for out in outputs.values())
+
+    def test_each_leaf_decoded_once(self, tmp_path, blobs, monkeypatch):
+        """Ingest folds, compaction only encodes; a rejected blob drops
+        the accumulator, so later ingests fold into a throwaway profile
+        until a compaction rebuilds it."""
+        calls = []
+        for name in ("from_bytes", "fold_bytes"):
+            original = ProfileDB.__dict__[name].__func__
+
+            def counted(cls, *args, _name=name, _original=original):
+                calls.append(_name)
+                return _original(cls, *args)
+
+            monkeypatch.setattr(ProfileDB, name, classmethod(counted))
+        store = ProfileStore(tmp_path / "s", shards=2)
+        for blob in blobs[:2]:
+            store.ingest("nw", blob)
+        store.compact("nw")
+        assert calls == ["fold_bytes"] * 2
+        calls.clear()
+        with pytest.raises(ProfileError):
+            store.ingest("nw", b"RPDB\x02\x00")
+        store.ingest("nw", blobs[2])
+        assert calls == ["fold_bytes", "fold_bytes"]
+        assert "nw" not in store._acc
+        calls.clear()
+        store.compact("nw")  # rebuild: the rollup, then the fresh leaf
+        store.ingest("nw", blobs[3])
+        store.compact("nw")
+        assert calls == ["from_bytes", "fold_bytes", "fold_bytes"]
+        assert store.verify_rollup("nw") == (True, 4)
+
+    def test_unmergeable_blob_rejected_before_it_is_stored(self, tmp_path, blobs):
+        # A root whose key is not its storage class's decodes, but no
+        # merge takes it: stored, it would stall every later compaction.
+        db = ProfileDB.from_bytes(blobs[1])
+        for profile in db.threads.values():
+            for storage in profile.storage_classes():
+                profile.get_cct(storage).root.key = ("frame", "not-a-root")
+        unmergeable = db.to_bytes()
+        store = ProfileStore(tmp_path / "s", shards=2)
+        store.ingest("nw", blobs[0])
+        with pytest.raises(ProfileError, match="cannot merge"):
+            store.ingest("nw", unmergeable)  # into the accumulator
+        with pytest.raises(ProfileError, match="cannot merge"):
+            store.ingest("nw", unmergeable)  # into a throwaway profile
+        store.ingest("nw", blobs[2])
+        assert store.compact("nw").leaves_folded == 2
+        assert store.rollup_bytes("nw") == _reference([blobs[0], blobs[2]], "nw")
+
+    def test_legacy_rollup_layout_opens(self, tmp_path, blobs):
+        root = tmp_path / "s"
+        store = ProfileStore(root, shards=2)
+        for blob in blobs[:2]:
+            store.ingest("nw", blob)
+        # The layout before generation-named rollups: rollup.rpdb and a
+        # manifest without a "rollup" key.
+        app_dir = root / "nw"
+        (app_dir / "rollup.rpdb").write_bytes(_reference(blobs[:2], "nw"))
+        (app_dir / "MANIFEST.json").write_text(
+            json.dumps({"compacted_upto": 2, "generation": 1})
+        )
+        store = ProfileStore(root, shards=2)
+        assert store.rollup_bytes("nw") == _reference(blobs[:2], "nw")
+        assert store.verify_rollup("nw") == (True, 2)
+        store.ingest("nw", blobs[2])
+        result = store.compact("nw")
+        assert (result.generation, result.leaves_folded) == (2, 1)
+        assert store.rollup_bytes("nw") == _reference(blobs[:3], "nw")
+        assert sorted(p.name for p in app_dir.glob("rollup*")) == ["rollup-00000002.rpdb"]
+
+    @pytest.mark.parametrize("boundary", [
+        "leaf-tmp", "rollup-tmp", "rollup-renamed", "manifest-tmp",
+        "manifest-renamed",
+    ])
+    def test_crash_at_write_boundary(self, tmp_path, blobs, monkeypatch, boundary):
+        """A crash at any write leaves a store that, reopened and
+        compacted, covers exactly the acked leaves, each once."""
+        import repro.serve.store as store_mod
+
+        class Crash(Exception):
+            pass
+
+        kind, when = boundary.split("-")
+        real_write = store_mod._atomic_write
+        armed = []
+
+        def crashing_write(path, data):
+            if armed and _file_kind(path) == kind:
+                if when == "tmp":  # the temporary written, not renamed
+                    path.with_name(f"{path.name}.tmp.{os.getpid()}").write_bytes(data)
+                else:
+                    real_write(path, data)
+                raise Crash(boundary)
+            real_write(path, data)
+
+        monkeypatch.setattr(store_mod, "_atomic_write", crashing_write)
+        root = tmp_path / "s"
+        store = ProfileStore(root, shards=2)
+        acked = []
+        for blob in blobs[:2]:
+            store.ingest("nw", blob)
+            acked.append(blob)
+        store.compact("nw")
+        store.ingest("nw", blobs[2])
+        acked.append(blobs[2])
+        armed.append(True)
+        with pytest.raises(Crash):
+            if kind == "leaf":
+                store.ingest("nw", blobs[3])
+            else:
+                store.compact("nw")
+        armed.clear()
+
+        reopened = ProfileStore(root, shards=2)
+        reopened.compact("nw")
+        assert reopened.rollup_bytes("nw") == _reference(acked, "nw")
+        assert reopened.verify_rollup("nw") == (True, len(acked))
+        rollups = [p.name for p in (root / "nw").iterdir() if p.name.startswith("rollup")]
+        assert rollups == [f"rollup-{reopened.generation('nw'):08d}.rpdb"]
 
     def test_unreadable_stored_leaf_is_integrity_error(self, tmp_path, blobs):
         store = ProfileStore(tmp_path / "s", shards=1)
         store.ingest("nw", blobs[0])
         [ref] = store.leaves("nw")
         ref.path.write_bytes(b"rotted")
+        # The open store folded the leaf at ingest; a reopened one
+        # rebuilds its accumulator from disk and reads the rotted file.
+        store = ProfileStore(tmp_path / "s", shards=1)
         with pytest.raises(ServeError, match="unreadable"):
             store.compact("nw")
 
